@@ -13,7 +13,11 @@
 // noise in their overlap, so strips join without seams.
 package rng
 
-import "math"
+import (
+	"math"
+
+	"roughsurface/internal/simd"
+)
 
 // splitmix64 advances *state and returns the next SplitMix64 output.
 // It is used both for seeding and as the mixing core of Field.
@@ -159,56 +163,70 @@ func (f Field) At(i, j int64) float64 {
 	st := f.seed ^ uint64(i)*0x9e3779b97f4a7c15 ^ uint64(j)*0xc2b2ae3d27d4eb4f
 	h1 := splitmix64(&st)
 	h2 := splitmix64(&st)
-	u1 := (float64(h1>>11) + 0.5) * (1.0 / (1 << 53)) // (0,1): safe in log
+	u1 := (float64(h1>>11) + 0.5) * (1.0 / (1 << 53)) // (0,1]: safe in log
 	u2 := float64(h2>>11) * (1.0 / (1 << 53))         // [0,1): angle
 	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
 }
 
+// fillChunk is the number of samples FillRow and FillRow32 hash into
+// stack buffers before handing them to simd.BoxMuller in one call.
+const fillChunk = 64
+
 // FillRow materializes len(dst) consecutive row samples of the field:
 // dst[m] = At(i0+m, j), bit-identical to the per-sample calls. The
 // row-dependent half of the seed mix is hoisted out of the loop, which
-// makes this the preferred form for the generators' noise pass.
+// makes this the preferred form for the generators' noise pass. The
+// SplitMix64 hashing stays scalar Go (AVX2 has no 64-bit multiply); the
+// uniforms then go through simd.BoxMuller a chunk at a time, whose
+// vector kernel is bit-identical to At's scalar transform (DESIGN.md
+// §13).
 func (f Field) FillRow(dst []float64, i0, j int64) {
-	rowSeed := f.seed ^ uint64(j)*0xc2b2ae3d27d4eb4f
-	i := uint64(i0) * 0x9e3779b97f4a7c15
-	for m := range dst {
-		st := rowSeed ^ i
-		i += 0x9e3779b97f4a7c15
-		h1 := splitmix64(&st)
-		h2 := splitmix64(&st)
-		u1 := (float64(h1>>11) + 0.5) * (1.0 / (1 << 53)) // (0,1): safe in log
-		u2 := float64(h2>>11) * (1.0 / (1 << 53))         // [0,1): angle
-		dst[m] = math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+	var u1, u2 [fillChunk]float64
+	rowSeed, i := f.rowStart(i0, j)
+	for len(dst) > 0 {
+		n := min(len(dst), fillChunk)
+		i = rowUniforms(u1[:n], u2[:n], rowSeed, i)
+		simd.BoxMuller(dst[:n], u1[:n], u2[:n])
+		dst = dst[n:]
 	}
 }
 
 // FillRow32 is FillRow narrowed to float32 at the store: each sample is
 // the float64 field value rounded once to single precision, so the f32
 // render pipeline sees the same realization as the reference engine to
-// within one rounding step. The Box–Muller math stays in float64 —
-// log/sqrt/cos dominate the cost either way, and computing in f32 would
-// compound rounding without saving time.
+// within one rounding step. The transform stays in float64 and the
+// same vector kernel serves both precisions; computing it in f32 would
+// compound rounding and break that one-rounding contract.
 func (f Field) FillRow32(dst []float32, i0, j int64) {
-	rowSeed := f.seed ^ uint64(j)*0xc2b2ae3d27d4eb4f
-	i := uint64(i0) * 0x9e3779b97f4a7c15
-	for m := range dst {
+	var u1, u2, v [fillChunk]float64
+	rowSeed, i := f.rowStart(i0, j)
+	for len(dst) > 0 {
+		n := min(len(dst), fillChunk)
+		i = rowUniforms(u1[:n], u2[:n], rowSeed, i)
+		simd.BoxMuller(v[:n], u1[:n], u2[:n])
+		simd.Narrow(dst[:n], v[:n])
+		dst = dst[n:]
+	}
+}
+
+// rowStart splits At's seed mix for row j into its row-constant half
+// and the running column term for column i0.
+func (f Field) rowStart(i0, j int64) (rowSeed, i uint64) {
+	return f.seed ^ uint64(j)*0xc2b2ae3d27d4eb4f, uint64(i0) * 0x9e3779b97f4a7c15
+}
+
+// rowUniforms hashes len(u1) consecutive lattice points of one row
+// into Box–Muller uniform pairs exactly as At does, starting from
+// column term i, and returns the column term of the next point.
+func rowUniforms(u1, u2 []float64, rowSeed, i uint64) uint64 {
+	u2 = u2[:len(u1)]
+	for m := range u1 {
 		st := rowSeed ^ i
 		i += 0x9e3779b97f4a7c15
 		h1 := splitmix64(&st)
 		h2 := splitmix64(&st)
-		u1 := (float64(h1>>11) + 0.5) * (1.0 / (1 << 53)) // (0,1): safe in log
-		u2 := float64(h2>>11) * (1.0 / (1 << 53))         // [0,1): angle
-		dst[m] = float32(math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2))
+		u1[m] = (float64(h1>>11) + 0.5) * (1.0 / (1 << 53))
+		u2[m] = float64(h2>>11) * (1.0 / (1 << 53))
 	}
-}
-
-// FillRect materializes the window [i0, i0+nx) × [j0, j0+ny) of the field
-// into dst (row-major, nx fast).
-func (f Field) FillRect(dst []float64, i0, j0 int64, nx, ny int) {
-	if len(dst) != nx*ny {
-		panic("rng: FillRect length mismatch")
-	}
-	for j := 0; j < ny; j++ {
-		f.FillRow(dst[j*nx:(j+1)*nx], i0, j0+int64(j))
-	}
+	return i
 }

@@ -140,19 +140,19 @@ func TestFieldDeterministicAndOrderFree(t *testing.T) {
 	if !approx.Exact(f.At(1000, -500), a) || !approx.Exact(f.At(-3, 7), b) {
 		t.Error("Field.At is not a pure function")
 	}
-	// Same window, filled in two halves vs at once.
-	whole := make([]float64, 8*8)
-	f.FillRect(whole, 10, 20, 8, 8)
-	top := make([]float64, 8*4)
-	bot := make([]float64, 8*4)
-	f.FillRect(top, 10, 20, 8, 4)
-	f.FillRect(bot, 10, 24, 8, 4)
-	for i := range top {
-		if !approx.Exact(whole[i], top[i]) {
-			t.Fatal("FillRect top half mismatch")
+	// Same row, filled whole vs in two halves in either order.
+	whole := make([]float64, 8)
+	f.FillRow(whole, 10, 20)
+	left := make([]float64, 4)
+	right := make([]float64, 4)
+	f.FillRow(right, 14, 20)
+	f.FillRow(left, 10, 20)
+	for i := range left {
+		if !approx.Exact(whole[i], left[i]) {
+			t.Fatal("FillRow left half mismatch")
 		}
-		if !approx.Exact(whole[32+i], bot[i]) {
-			t.Fatal("FillRect bottom half mismatch")
+		if !approx.Exact(whole[4+i], right[i]) {
+			t.Fatal("FillRow right half mismatch")
 		}
 	}
 }
@@ -227,15 +227,6 @@ func TestQuickFieldPure(t *testing.T) {
 	}
 }
 
-func TestFillRectPanicsOnBadLength(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("FillRect with wrong length should panic")
-		}
-	}()
-	NewField(0).FillRect(make([]float64, 3), 0, 0, 2, 2)
-}
-
 func BenchmarkGaussianNext(b *testing.B) {
 	g := NewGaussian(1)
 	b.ReportAllocs()
@@ -252,24 +243,56 @@ func BenchmarkFieldAt(b *testing.B) {
 	}
 }
 
-// TestFillRowMatchesAt pins the batch fill to the per-sample definition
-// bit for bit, including negative indices and uint64 wrap of the index
-// mix.
+// checkFillRows pins FillRow to At bit for bit, and FillRow32 to At
+// rounded once to float32, for one row of n samples from column i0.
+func checkFillRows(t *testing.T, f Field, i0, j int64, n int) {
+	t.Helper()
+	dst := make([]float64, n)
+	dst32 := make([]float32, n)
+	f.FillRow(dst, i0, j)
+	f.FillRow32(dst32, i0, j)
+	for m := range dst {
+		want := f.At(i0+int64(m), j)
+		if math.Float64bits(dst[m]) != math.Float64bits(want) {
+			t.Fatalf("seed=%d FillRow(i0=%d, j=%d, n=%d)[%d] = %x, At = %x",
+				f.Seed(), i0, j, n, m, math.Float64bits(dst[m]), math.Float64bits(want))
+		}
+		if math.Float32bits(dst32[m]) != math.Float32bits(float32(want)) {
+			t.Fatalf("seed=%d FillRow32(i0=%d, j=%d, n=%d)[%d] = %x, float32(At) = %x",
+				f.Seed(), i0, j, n, m, math.Float32bits(dst32[m]), math.Float32bits(float32(want)))
+		}
+	}
+}
+
+// TestFillRowMatchesAt pins the batch fills to the per-sample
+// definition bit for bit — whichever Box–Muller kernel the simd
+// dispatch selected — at lengths around the 64-sample chunk and the
+// 4-lane vector block, at negative columns, and across the uint64 wrap
+// of the index mix.
 func TestFillRowMatchesAt(t *testing.T) {
 	f := NewField(0xfeedbeef)
 	for _, c := range []struct {
 		i0, j int64
 		n     int
 	}{{0, 0, 17}, {-9, 4, 32}, {1 << 40, -3, 8}, {-1 << 50, 1 << 33, 5}} {
-		dst := make([]float64, c.n)
-		f.FillRow(dst, c.i0, c.j)
-		for m, got := range dst {
-			want := f.At(c.i0+int64(m), c.j)
-			if !approx.Exact(got, want) {
-				t.Fatalf("FillRow(i0=%d, j=%d)[%d] = %g, At = %g", c.i0, c.j, m, got, want)
-			}
+		checkFillRows(t, f, c.i0, c.j, c.n)
+	}
+	for _, n := range []int{1, 63, 64, 65, 278} {
+		for _, i0 := range []int64{0, -1, -139, 1 << 20, -1 << 62} {
+			checkFillRows(t, f, i0, int64(n)-100, n)
 		}
 	}
+}
+
+// FuzzBoxMuller drives FillRow and FillRow32 with arbitrary seeds,
+// start columns, rows and lengths against the scalar At.
+func FuzzBoxMuller(f *testing.F) {
+	f.Add(uint64(1), int64(0), int64(0), uint16(64))
+	f.Add(uint64(0xfeedbeef), int64(-139), int64(7), uint16(278))
+	f.Add(uint64(0), int64(-1<<62), int64(1<<40), uint16(65))
+	f.Fuzz(func(t *testing.T, seed uint64, i0, j int64, n uint16) {
+		checkFillRows(t, NewField(seed), i0, j, int(n%1024))
+	})
 }
 
 func BenchmarkFieldFillRow(b *testing.B) {

@@ -9,11 +9,14 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
+
+	"roughsurface/internal/simd"
 )
 
 // infoDoc is the /v1/info response shape.
 type infoDoc struct {
 	Go      string            `json:"go"`
+	SIMD    string            `json:"simd"` // kernel set serving MAC and noise fill: "avx2", "neon" or "go"
 	Module  string            `json:"module,omitempty"`
 	Version string            `json:"version,omitempty"`
 	VCS     map[string]string `json:"vcs,omitempty"`
@@ -57,6 +60,7 @@ type infoCluster struct {
 func (s *Server) handleInfo(w http.ResponseWriter, _ *http.Request) {
 	doc := infoDoc{
 		Go:    runtime.Version(),
+		SIMD:  simd.Impl(),
 		Flags: s.cfg.Flags,
 		Limits: infoLimits{
 			Workers:          s.cfg.Workers,

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"roughsurface/internal/par"
+	"roughsurface/internal/simd"
 )
 
 // testServer boots a Server (small limits so tests are fast) behind
@@ -425,5 +426,25 @@ func TestHealthzAndSceneGet(t *testing.T) {
 	}
 	if round["method"] != "homogeneous" {
 		t.Errorf("scene GET returned %s", doc)
+	}
+}
+
+// TestInfoReportsSIMDKernel: /v1/info names the kernel set the simd
+// dispatch selected, so a benchmark's recorded metadata says which
+// Box–Muller and MAC kernels served its tiles.
+func TestInfoReportsSIMDKernel(t *testing.T) {
+	_, ts := testServer(t, Config{})
+	resp, err := http.Get(ts.URL + "/v1/info")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info struct {
+		SIMD string `json:"simd"`
+	}
+	if err := json.Unmarshal(readAll(t, resp), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.SIMD != simd.Impl() {
+		t.Errorf("/v1/info simd = %q, want %q", info.SIMD, simd.Impl())
 	}
 }

@@ -2,12 +2,15 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math"
 	"net/http"
 	"strings"
 	"testing"
+
+	"roughsurface/internal/core"
 )
 
 // f32ServeTol bounds the wire-level disagreement between an f32-served
@@ -139,5 +142,22 @@ func TestScenePrecisionDefault(t *testing.T) {
 	docF64 := strings.Replace(fixtureHomog, `"method"`, `"precision":"f64","method"`, 1)
 	if got, want := postScene(t, ts, docF64), postScene(t, ts, fixtureHomog); got != want {
 		t.Errorf(`"precision":"f64" changed scene id: %s vs %s`, got, want)
+	}
+}
+
+// TestPNGBodyExactSize: PNG tile bodies carry no more spare capacity
+// than the allocator's rounding to one 8 KiB page, so the tile cache's
+// len-based byte budget matches the memory it pins.
+func TestPNGBodyExactSize(t *testing.T) {
+	s, ts := testServer(t, Config{})
+	entry, _ := s.reg.get(postScene(t, ts, fixturePlate))
+	for _, precision := range []string{"", core.PrecisionF32} {
+		res := s.renderTile(context.Background(), entry, 0, 1, window{nx: 256, ny: 256}, formatPNG, precision)
+		if res.err != nil {
+			t.Fatal(res.err)
+		}
+		if cap(res.body)-len(res.body) >= 8<<10 {
+			t.Errorf("precision %q: PNG body len %d, cap %d", precision, len(res.body), cap(res.body))
+		}
 	}
 }

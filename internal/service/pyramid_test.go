@@ -233,6 +233,20 @@ func TestPrefetchSaturationKeepsForegroundFast(t *testing.T) {
 
 	// Pay one-time kernel design before measuring latencies.
 	getTile(t, ts, "/v1/scene/"+id+"/tile/1/100,100?seed=1")
+	// The warm-up scheduled prefetches of its four neighbors, possibly
+	// after its response reached us. Wait until every one has been
+	// rendered, skipped or shed, so the worker is free to be jammed.
+	settled := func() uint64 {
+		return s.met.prefetchRendered.Load() + s.met.prefetchSkipped.Load() + s.met.prefetchDropped.Load()
+	}
+	want := uint64(len(neighborTiles(100, 100)))
+	deadline := time.Now().Add(10 * time.Second)
+	for settled() < want {
+		if time.Now().After(deadline) {
+			t.Fatalf("warm-up prefetches unsettled after 10s: %d of %d", settled(), want)
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	block := make(chan struct{})
 	started := make(chan struct{})

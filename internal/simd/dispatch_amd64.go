@@ -18,13 +18,22 @@ func axpy64AVX(alpha float64, x, y []float64)
 func macRow32AVX(taps, noise, dst []float32)
 func macRow64AVX(taps, noise, dst []float64)
 
+// boxMullerAVX is called directly, not through a func variable, and
+// promises not to retain its arguments: callers pass stack buffers
+// (rng.Field's 64-sample chunks) that must not escape to the heap.
+//
+//go:noescape
+func boxMullerAVX(dst, u1, u2 []float64)
+
 var (
 	axpy32   = axpyGeneric32
 	axpy64   = axpyGeneric64
 	macRow32 = macRowGeneric32
 	macRow64 = macRowGeneric64
 
-	impl = "go"
+	// useAVX2 guards the direct boxMullerAVX call in BoxMuller.
+	useAVX2 = false
+	impl    = "go"
 )
 
 func hasAVX2() bool {
@@ -51,10 +60,11 @@ func init() {
 		axpy64 = axpy64AVX
 		macRow32 = macRow32AVX
 		macRow64 = macRow64AVX
+		useAVX2 = true
 		impl = "avx2"
 	}
 }
 
-// Impl reports which MAC kernel the dispatch selected ("go", "avx2" or
-// "neon") — surfaced in tests and the daemon's metrics.
+// Impl reports which kernel set the dispatch selected ("go", "avx2" or
+// "neon") — surfaced in tests and the daemon's GET /v1/info.
 func Impl() string { return impl }

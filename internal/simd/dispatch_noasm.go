@@ -12,6 +12,13 @@ var (
 	macRow64 = macRowGeneric64
 )
 
-// Impl reports which MAC kernel the dispatch selected ("go", "avx2" or
-// "neon") — surfaced in tests and the daemon's metrics.
+// Impl reports which kernel set the dispatch selected ("go", "avx2" or
+// "neon") — surfaced in tests and the daemon's GET /v1/info.
 func Impl() string { return "go" }
+
+// No vector Box–Muller kernel here: BoxMuller always runs the scalar
+// loop. Its guarded boxMullerAVX call is compiled out; the stub only
+// lets it type-check.
+const useAVX2 = false
+
+func boxMullerAVX(dst, u1, u2 []float64) { boxMullerGeneric(dst, u1, u2) }

@@ -1,6 +1,7 @@
 // Package simd supplies the precision-generic multiply-accumulate (MAC)
-// kernels behind the direct-convolution and weight-blend hot loops. The
-// contract is one primitive:
+// kernels behind the direct-convolution and weight-blend hot loops, and
+// the vectorized Box–Muller transform (BoxMuller) behind the Gaussian
+// field's noise fill. The MAC contract is one primitive:
 //
 //	Axpy: y[i] += alpha·x[i]   (elementwise, no reduction)
 //
@@ -26,7 +27,13 @@
 //     within the documented f32/f64 tolerance, as it always has been.
 //   - pure Go: an 8-lane manually unrolled loop, the portable
 //     reference. Build with -tags noasm to force it everywhere.
+//
+// BoxMuller has an amd64 AVX2 kernel only. It is bit-identical to the
+// scalar math.Log/math.Cos expression on the field's domain, so amd64
+// produces the same noise with and without assembly (DESIGN.md §13).
 package simd
+
+import "math"
 
 // Float is the precision parameter of the generic render pipeline.
 type Float interface {
@@ -49,22 +56,6 @@ func Axpy[F Float](alpha F, x, y []F) {
 	}
 }
 
-// Axpy32 is the float32 MAC kernel: y[i] += alpha·x[i].
-func Axpy32(alpha float32, x, y []float32) {
-	if len(x) != len(y) {
-		panic("simd: Axpy32 length mismatch")
-	}
-	axpy32(alpha, x, y)
-}
-
-// Axpy64 is the float64 MAC kernel: y[i] += alpha·x[i].
-func Axpy64(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("simd: Axpy64 length mismatch")
-	}
-	axpy64(alpha, x, y)
-}
-
 // MacRow32 fuses one full kernel row of multiply-accumulates:
 //
 //	dst[i] += Σ_a taps[a]·noise[a+i]   for every i
@@ -76,7 +67,7 @@ func Axpy64(alpha float64, x, y []float64) {
 // ~10 taps per row) this removes most of the per-call and dst-traffic
 // overhead of the axpy formulation. The additions for each output
 // sample happen in tap order a = 0, 1, …, exactly like the axpy sweeps,
-// so results are bit-identical to composing Axpy32 per tap (and, on
+// so results are bit-identical to composing Axpy per tap (and, on
 // amd64/noasm where nothing fuses, to the literal per-sample sum).
 //
 // Contract: len(noise) ≥ len(taps)−1+len(dst); noise and dst must not
@@ -94,6 +85,38 @@ func MacRow64(taps, noise, dst []float64) {
 		panic("simd: MacRow64 noise window shorter than taps-1+dst")
 	}
 	macRow64(taps, noise, dst)
+}
+
+// BoxMuller computes the Box–Muller transform (paper eqn 18) of two
+// uniform variates per output:
+//
+//	dst[i] = Sqrt(-2*Log(u1[i])) * Cos(2*Pi*u2[i])
+//
+// with Sqrt, Log and Cos from package math. On amd64 with AVX2 the
+// samples run four lanes at a time through a kernel that replays the
+// library's Log and Cos operation for operation, so the result is
+// bit-identical to the scalar expression whenever u1[i] ∈ (0,1] and
+// u2[i] ∈ [0,1) — the domain of rng.Field (DESIGN.md §13). Outside
+// that domain the lanes the kernel serves may differ from the scalar
+// expression. All three slices must have equal length.
+func BoxMuller(dst, u1, u2 []float64) {
+	if len(u1) != len(dst) || len(u2) != len(dst) {
+		panic("simd: BoxMuller length mismatch")
+	}
+	n := 0
+	if useAVX2 {
+		n = len(dst) &^ 3
+		boxMullerAVX(dst[:n], u1[:n], u2[:n])
+	}
+	boxMullerGeneric(dst[n:], u1[n:], u2[n:])
+}
+
+// boxMullerGeneric is the scalar Box–Muller loop, the reference the
+// vector kernel is pinned against.
+func boxMullerGeneric(dst, u1, u2 []float64) {
+	for i := range dst {
+		dst[i] = math.Sqrt(-2*math.Log(u1[i])) * math.Cos(2*math.Pi*u2[i])
+	}
 }
 
 // Narrow converts src to float32 into dst (round-to-nearest, the only

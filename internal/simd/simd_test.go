@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"roughsurface/internal/approx"
-	"roughsurface/internal/rng"
 )
 
 // testLengths exercises every tail combination of the unrolled and
@@ -13,7 +12,34 @@ import (
 // few long vectors.
 var testLengths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 23, 24, 31, 32, 33, 48, 63, 64, 100, 255, 1024}
 
-func fill64(src *rng.Source, n int) []float64 {
+// testSource is a SplitMix64 stream of uniform variates in [0,1). The
+// tests keep their own generator because internal/rng imports this
+// package.
+type testSource uint64
+
+func newTestSource(seed uint64) *testSource {
+	s := testSource(seed)
+	return &s
+}
+
+func (s *testSource) Uint64() uint64 {
+	*s += 0x9e3779b97f4a7c15
+	z := uint64(*s)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
+}
+
+func (s *testSource) Float64() float64 {
+	return float64(s.Uint64()>>11) * (1.0 / (1 << 53))
+}
+
+// open01 draws u1 the way rng.Field does: (0,1], safe in log.
+func (s *testSource) open01() float64 {
+	return (float64(s.Uint64()>>11) + 0.5) * (1.0 / (1 << 53))
+}
+
+func fill64(src *testSource, n int) []float64 {
 	v := make([]float64, n)
 	for i := range v {
 		v[i] = src.Float64()*4 - 2
@@ -35,17 +61,17 @@ func axpyRef[F Float](alpha F, x, y []F) {
 // tolerance on arm64, where both FMLA and the compiled reference fuse
 // but tails may differ in fusing.
 func TestAxpyMatchesReference(t *testing.T) {
-	src := rng.NewSource(7)
+	src := newTestSource(7)
 	for _, n := range testLengths {
 		x64 := fill64(src, n)
 		y64 := fill64(src, n)
 		want64 := append([]float64(nil), y64...)
 		const alpha = 1.375 // exact in both precisions
 		axpyRef(alpha, x64, want64)
-		Axpy64(alpha, x64, y64)
+		Axpy(alpha, x64, y64)
 		for i := range y64 {
 			if math.Abs(y64[i]-want64[i]) > 1e-13*(1+math.Abs(want64[i])) {
-				t.Fatalf("Axpy64 n=%d impl=%s: [%d] = %g, want %g", n, Impl(), i, y64[i], want64[i])
+				t.Fatalf("Axpy[f64] n=%d impl=%s: [%d] = %g, want %g", n, Impl(), i, y64[i], want64[i])
 			}
 		}
 
@@ -55,10 +81,10 @@ func TestAxpyMatchesReference(t *testing.T) {
 		Narrow(y32, fill64(src, n))
 		want32 := append([]float32(nil), y32...)
 		axpyRef(float32(alpha), x32, want32)
-		Axpy32(alpha, x32, y32)
+		Axpy(float32(alpha), x32, y32)
 		for i := range y32 {
 			if math.Abs(float64(y32[i]-want32[i])) > 1e-5*(1+math.Abs(float64(want32[i]))) {
-				t.Fatalf("Axpy32 n=%d impl=%s: [%d] = %g, want %g", n, Impl(), i, y32[i], want32[i])
+				t.Fatalf("Axpy[f32] n=%d impl=%s: [%d] = %g, want %g", n, Impl(), i, y32[i], want32[i])
 			}
 		}
 	}
@@ -71,17 +97,17 @@ func TestAxpyBitExactVsFallback(t *testing.T) {
 	if Impl() != "avx2" {
 		t.Skipf("dispatch selected %q; bit-exactness vs the fallback is only promised for avx2", Impl())
 	}
-	src := rng.NewSource(11)
+	src := newTestSource(11)
 	for _, n := range testLengths {
 		x64 := fill64(src, n)
 		y64a := fill64(src, n)
 		y64b := append([]float64(nil), y64a...)
 		alpha := src.Float64()*2 - 1
-		Axpy64(alpha, x64, y64a)
+		Axpy(alpha, x64, y64a)
 		axpyGeneric64(alpha, x64, y64b)
 		for i := range y64a {
 			if !approx.Exact(y64a[i], y64b[i]) {
-				t.Fatalf("Axpy64 n=%d: asm [%d] = %x, fallback %x", n, i, y64a[i], y64b[i])
+				t.Fatalf("Axpy[f64] n=%d: asm [%d] = %x, fallback %x", n, i, y64a[i], y64b[i])
 			}
 		}
 
@@ -90,11 +116,11 @@ func TestAxpyBitExactVsFallback(t *testing.T) {
 		y32a := make([]float32, n)
 		Narrow(y32a, fill64(src, n))
 		y32b := append([]float32(nil), y32a...)
-		Axpy32(float32(alpha), x32, y32a)
+		Axpy(float32(alpha), x32, y32a)
 		axpyGeneric32(float32(alpha), x32, y32b)
 		for i := range y32a {
 			if !approx.Exact(float64(y32a[i]), float64(y32b[i])) {
-				t.Fatalf("Axpy32 n=%d: asm [%d] = %x, fallback %x", n, i, y32a[i], y32b[i])
+				t.Fatalf("Axpy[f32] n=%d: asm [%d] = %x, fallback %x", n, i, y32a[i], y32b[i])
 			}
 		}
 	}
@@ -126,10 +152,10 @@ func TestAxpyGenericDispatch(t *testing.T) {
 
 func TestAxpyLengthMismatchPanics(t *testing.T) {
 	for name, f := range map[string]func(){
-		"Axpy32": func() { Axpy32(1, make([]float32, 3), make([]float32, 4)) },
-		"Axpy64": func() { Axpy64(1, make([]float64, 4), make([]float64, 3)) },
-		"Axpy":   func() { Axpy(1.0, make([]float64, 1), make([]float64, 2)) },
-		"Narrow": func() { Narrow(make([]float32, 2), make([]float64, 3)) },
+		"Axpy/f32":  func() { Axpy(float32(1), make([]float32, 3), make([]float32, 4)) },
+		"Axpy/f64":  func() { Axpy(1.0, make([]float64, 4), make([]float64, 3)) },
+		"Narrow":    func() { Narrow(make([]float32, 2), make([]float64, 3)) },
+		"BoxMuller": func() { BoxMuller(make([]float64, 2), make([]float64, 2), make([]float64, 3)) },
 	} {
 		func() {
 			defer func() {
@@ -168,7 +194,7 @@ func macRowRef[F Float](taps, noise, dst []F) {
 // against the literal per-sample sum for every tail class and several
 // tap-row lengths (including the degenerate empty tap row).
 func TestMacRowMatchesReference(t *testing.T) {
-	src := rng.NewSource(13)
+	src := newTestSource(13)
 	for _, taps := range []int{0, 1, 2, 5, 11, 16} {
 		for _, n := range testLengths {
 			t64 := fill64(src, taps)
@@ -206,7 +232,7 @@ func TestMacRowMatchesReference(t *testing.T) {
 // the axpy kernel per tap, at either precision. This holds on every
 // build — both formulations add in tap order, and on arm64 both fuse.
 func TestMacRowBitExactVsAxpy(t *testing.T) {
-	src := rng.NewSource(17)
+	src := newTestSource(17)
 	for _, taps := range []int{1, 3, 11} {
 		for _, n := range testLengths {
 			t64 := fill64(src, taps)
@@ -215,7 +241,7 @@ func TestMacRowBitExactVsAxpy(t *testing.T) {
 			d64b := append([]float64(nil), d64a...)
 			MacRow64(t64, noise64, d64a)
 			for a, tap := range t64 {
-				Axpy64(tap, noise64[a:a+n], d64b)
+				Axpy(tap, noise64[a:a+n], d64b)
 			}
 			for i := range d64a {
 				if !approx.Exact(d64a[i], d64b[i]) {
@@ -232,7 +258,7 @@ func TestMacRowBitExactVsAxpy(t *testing.T) {
 			d32b := append([]float32(nil), d32a...)
 			MacRow32(t32, noise32, d32a)
 			for a, tap := range t32 {
-				Axpy32(tap, noise32[a:a+n], d32b)
+				Axpy(tap, noise32[a:a+n], d32b)
 			}
 			for i := range d32a {
 				if !approx.Exact(float64(d32a[i]), float64(d32b[i])) {
@@ -249,7 +275,7 @@ func TestMacRowBitExactVsFallback(t *testing.T) {
 	if Impl() != "avx2" {
 		t.Skipf("dispatch selected %q; bit-exactness vs the fallback is only promised for avx2", Impl())
 	}
-	src := rng.NewSource(19)
+	src := newTestSource(19)
 	for _, taps := range []int{1, 7, 12} {
 		for _, n := range testLengths {
 			t64 := fill64(src, taps)
@@ -301,7 +327,7 @@ func TestMacRowShortNoisePanics(t *testing.T) {
 func BenchmarkMacRow(b *testing.B) {
 	// Tile-serving shape: 32-sample output rows, 11-tap kernel rows.
 	const n, taps = 32, 11
-	src := rng.NewSource(5)
+	src := newTestSource(5)
 	t64 := fill64(src, taps)
 	noise64 := fill64(src, taps-1+n)
 	d64 := fill64(src, n)
@@ -315,7 +341,7 @@ func BenchmarkMacRow(b *testing.B) {
 		b.SetBytes(8 * n * taps)
 		for i := 0; i < b.N; i++ {
 			for a, tap := range t64 {
-				Axpy64(tap, noise64[a:a+n], d64)
+				Axpy(tap, noise64[a:a+n], d64)
 			}
 		}
 	})
@@ -335,7 +361,7 @@ func BenchmarkMacRow(b *testing.B) {
 		b.SetBytes(4 * n * taps)
 		for i := 0; i < b.N; i++ {
 			for a, tap := range t32 {
-				Axpy32(tap, noise32[a:a+n], d32)
+				Axpy(tap, noise32[a:a+n], d32)
 			}
 		}
 	})
@@ -343,13 +369,13 @@ func BenchmarkMacRow(b *testing.B) {
 
 func BenchmarkAxpy(b *testing.B) {
 	const n = 512
-	src := rng.NewSource(3)
+	src := newTestSource(3)
 	x64 := fill64(src, n)
 	y64 := fill64(src, n)
 	b.Run("f64/"+Impl(), func(b *testing.B) {
 		b.SetBytes(8 * n)
 		for i := 0; i < b.N; i++ {
-			Axpy64(1.0000001, x64, y64)
+			Axpy(1.0000001, x64, y64)
 		}
 	})
 	x32 := make([]float32, n)
@@ -359,7 +385,7 @@ func BenchmarkAxpy(b *testing.B) {
 	b.Run("f32/"+Impl(), func(b *testing.B) {
 		b.SetBytes(4 * n)
 		for i := 0; i < b.N; i++ {
-			Axpy32(1.0000001, x32, y32)
+			Axpy(float32(1.0000001), x32, y32)
 		}
 	})
 	b.Run("f64/go", func(b *testing.B) {

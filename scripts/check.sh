@@ -76,13 +76,15 @@ go vet ./...
 step_end
 
 # The precision-generic render pipeline ships hand-written MAC kernels
-# for amd64 and arm64 plus a pure-Go fallback behind -tags noasm; all
-# three must keep compiling, and the fallback must keep passing the
-# convolution agreement tests, no matter which architecture CI runs on.
+# for amd64 and arm64, an amd64 Box–Muller kernel behind the rng.Field
+# noise fill, and a pure-Go fallback behind -tags noasm; all must keep
+# compiling, and the fallback must keep passing the convolution and
+# field agreement tests, no matter which architecture CI runs on.
 step_begin "cross-compile (arm64) + noasm fallback tests"
 GOARCH=arm64 go build ./...
 GOARCH=arm64 go vet ./internal/simd
-go test -tags noasm ./internal/simd ./internal/convgen
+GOARCH=arm64 go vet ./internal/rng
+go test -tags noasm ./internal/simd ./internal/convgen ./internal/rng
 step_end
 
 step_begin "rrslint (findings -> $LINT_JSON, SARIF -> $LINT_SARIF)"
@@ -112,10 +114,11 @@ fi
 step_end
 
 # rrsd end-to-end smoke: boot the daemon on a free port, register the
-# canonical fixture scene, and verify one f32 tile byte-for-byte. The
-# SHA-256 is pinned on amd64 (the CI architecture); elsewhere FP/FMA
-# differences may legally change the low bits, so we fall back to a
-# determinism check (two fetches, one cold one cached, must agree).
+# canonical fixture scene, and verify one f32 tile byte-for-byte, from
+# both the f64 reference engine and the f32 pipeline. The SHA-256s are
+# pinned on amd64 (the CI architecture); elsewhere FP/FMA differences
+# may legally change the low bits, so we fall back to a determinism
+# check (two fetches, one cold one cached, must agree).
 # The pyramid route is exercised at z=0 (which must alias the golden
 # free-window tile byte-for-byte, via the shared cache entry) and z=2,
 # and /metrics must expose the per-level hit/miss counters. A second
@@ -124,6 +127,7 @@ step_end
 # Finally SIGTERM must drain and exit 0 within the deadline.
 step_begin "rrsd smoke (healthz, golden tile, pyramid route, worker determinism, graceful shutdown)"
 GOLDEN_TILE_SHA256="c489266437db4399309159e8e96ed6998423d7d28d5740b2ce569abeb6c36688"
+GOLDEN_TILE32_SHA256="c38014bea2a177adebb1b8092a5f817da295d245199b9cb73fa9da4d7ed8669a"
 SMOKE_DIR="$(mktemp -d)"
 go build -o "$SMOKE_DIR/rrsd" ./cmd/rrsd
 "$SMOKE_DIR/rrsd" -addr 127.0.0.1:0 -portfile "$SMOKE_DIR/port" -tile-edge 64 -q &
@@ -149,6 +153,15 @@ else
     cmp "$SMOKE_DIR/tile.f32" "$SMOKE_DIR/tile2.f32"
 fi
 curl -sf "http://$RRSD_ADDR/metrics" | grep -q 'rrsd_requests_total{route="tile",code="200"} 1'
+# The same window through the f32 pipeline (noise fill, MAC kernels and
+# store all in single precision) has its own golden.
+curl -sf "$TILE_URL&precision=f32" -o "$SMOKE_DIR/tile32.f32"
+if [[ "$(uname -m)" == "x86_64" ]]; then
+    echo "$GOLDEN_TILE32_SHA256  $SMOKE_DIR/tile32.f32" | sha256sum -c - >/dev/null
+else
+    curl -sf "$TILE_URL&precision=f32" -o "$SMOKE_DIR/tile32b.f32"
+    cmp "$SMOKE_DIR/tile32.f32" "$SMOKE_DIR/tile32b.f32"
+fi
 # Pyramid route: tile 0/0,0 at -tile-edge 64 covers the same lattice
 # window as the golden fetch above, so it must be served from the shared
 # cache entry (X-Cache: hit) with identical bytes.
@@ -280,6 +293,7 @@ if [[ "$FUZZTIME" != "0" ]]; then
     go test -run='^$' -fuzz=FuzzRead -fuzztime="$FUZZTIME" ./internal/grid
     go test -run='^$' -fuzz=FuzzParseScene -fuzztime="$FUZZTIME" ./internal/core
     go test -run='^$' -fuzz=FuzzConv32Agreement -fuzztime="$FUZZTIME" ./internal/convgen
+    go test -run='^$' -fuzz=FuzzBoxMuller -fuzztime="$FUZZTIME" ./internal/rng
     go test -run='^$' -fuzz=FuzzSupportMaskPlate -fuzztime="$FUZZTIME" ./internal/inhomo
     go test -run='^$' -fuzz=FuzzSupportMaskPoint -fuzztime="$FUZZTIME" ./internal/inhomo
     go test -run='^$' -fuzz=FuzzCFG -fuzztime="$FUZZTIME" ./internal/lint
