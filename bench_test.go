@@ -168,7 +168,8 @@ func BenchmarkKernelTruncation(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				_ = gen.GenerateAt32(-64, -64, 128, 128)
+				dst := make([]float32, 128*128)
+				gen.GenerateAtInto32(dst, 128, -64, -64, 128, 128, 0)
 			}
 		})
 	}
@@ -259,11 +260,11 @@ func BenchmarkInhomoFastVsReference(b *testing.B) {
 			gen.Engine = engine
 			gen.TileSize = 32
 			const n = 576
-			dst := grid.New32(n, n)
+			dst := make([]float32, n*n)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				gen.GenerateAtInto32(dst, -n/2, -n/2)
+				inhomo.GenerateInto(gen, dst, n, n, -n/2, -n/2)
 			}
 		})
 	}

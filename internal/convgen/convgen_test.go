@@ -318,10 +318,10 @@ func TestTruncationDegradesGracefully(t *testing.T) {
 func TestAutoEngineSelection(t *testing.T) {
 	small := MustDesign(gaussSpec(), 1, 1, 8, 1e-4)
 	g := NewGenerator(small, 1)
-	if e := g.engineFor(32, 32); e != EngineDirect {
+	if e := g.EngineFor(32, 32); e != EngineDirect {
 		t.Errorf("small problem chose engine %v", e)
 	}
-	if e := g.engineFor(4096, 4096); e != EngineFFT {
+	if e := g.EngineFor(4096, 4096); e != EngineFFT {
 		t.Errorf("large problem chose engine %v", e)
 	}
 }

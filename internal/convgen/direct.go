@@ -21,9 +21,9 @@ import (
 // precisions (DESIGN.md §13); the float64 instantiation is therefore
 // byte-compatible with the pre-SIMD reference engine.
 //
-// macRow is passed in (simd.MacRow32 or simd.MacRow64, the monomorphic
-// wrappers) rather than dispatched on F, so the hot loop performs no
-// interface boxing.
+// macRow is passed in (macRow[F]: simd.MacRow32 or simd.MacRow64, the
+// monomorphic wrappers) rather than dispatched on F per call, so the hot
+// loop performs no interface boxing.
 func convDirect[F simd.Float](dst []F, stride, nx, ny int, taps []F, knx, kny int,
 	noise []F, wx int, macRow func(taps, noise, dst []F), workers int) {
 	par.For(ny, workers, func(lo, hi int) {
@@ -36,4 +36,12 @@ func convDirect[F simd.Float](dst []F, stride, nx, ny int, taps []F, knx, kny in
 			}
 		}
 	})
+}
+
+// macRow returns the monomorphic simd MAC-row kernel for precision F.
+func macRow[F simd.Float]() func(taps, noise, dst []F) {
+	if f, ok := any(simd.MacRow64).(func(taps, noise, dst []F)); ok {
+		return f
+	}
+	return any(simd.MacRow32).(func(taps, noise, dst []F))
 }

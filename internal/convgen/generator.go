@@ -63,9 +63,10 @@ type Generator struct {
 	arenas sync.Pool
 
 	// taps32 is the kernel narrowed to float32, built once on first use
-	// of the f32 render path. It lives on the Generator, not the Kernel:
-	// Kernel is a mutable exported value type, while a Generator's
-	// kernel is fixed at construction, which makes the cache safe.
+	// of the f32 render path (see taps). It lives on the Generator, not
+	// the Kernel: Kernel is a mutable exported value type, while a
+	// Generator's kernel is fixed at construction, which makes the
+	// cache safe.
 	taps32     []float32
 	taps32Once sync.Once
 }
@@ -73,33 +74,27 @@ type Generator struct {
 // genArena is one call's worth of scratch. Buffers grow to the largest
 // geometry seen and are reused across calls.
 type genArena struct {
-	noise   []float64    // direct engine: wx×wy noise window
-	noise32 []float32    // f32 direct engine: wx×wy noise window
+	noise64 []float64    // direct engine: wx×wy noise window of f64 renders
+	noise32 []float32    // direct engine: the same for f32 renders
 	pad     []float64    // fft engine: px×py padded real workspace
 	spec    []complex128 // fft engine: (px/2+1)×py half-spectrum
 }
 
-// growF returns buf resliced to n, reallocating only when capacity is
+// noiseOf returns the arena's noise window buffer for precision F.
+func noiseOf[F simd.Float](ar *genArena) *[]F {
+	if p, ok := any(&ar.noise64).(*[]F); ok {
+		return p
+	}
+	return any(&ar.noise32).(*[]F)
+}
+
+// grow returns buf resliced to n, reallocating only when capacity is
 // insufficient.
-func growF(buf []float64, n int) []float64 {
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
-}
-
-func growC(buf []complex128, n int) []complex128 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]complex128, n)
-}
-
-func grow32(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
+	return make([]T, n)
 }
 
 // NewGenerator wraps a kernel and a noise field seed.
@@ -117,9 +112,6 @@ func (g *Generator) Kernel() *Kernel { return g.kernel }
 // is the surface value at lattice point (i0+i, j0+j); physical
 // coordinates are lattice × spacing. The returned grid is caller-owned.
 func (g *Generator) GenerateAt(i0, j0 int64, nx, ny int) *grid.Grid {
-	if nx < 1 || ny < 1 {
-		panic(fmt.Sprintf("convgen: invalid window %dx%d", nx, ny))
-	}
 	k := g.kernel
 	out := grid.New(nx, ny)
 	out.Dx, out.Dy = k.Dx, k.Dy
@@ -130,85 +122,64 @@ func (g *Generator) GenerateAt(i0, j0 int64, nx, ny int) *grid.Grid {
 }
 
 // GenerateAtInto is GenerateAt writing into a caller-owned destination
-// buffer instead of allocating a grid: row j of the window lands at
-// dst[j*stride : j*stride+nx], so a tile can be rendered in place
-// inside a larger raster (stride = the raster's row length). Samples
-// outside the written rows/columns are untouched. workers bounds this
-// call's parallelism (0 defers to the generator's Workers field, whose
-// 0 in turn means GOMAXPROCS); unlike mutating Workers, passing it here
-// is safe under concurrent calls on one Generator. Scratch comes from
-// the generator's arena pool, so the call itself allocates nothing in
-// steady state.
+// buffer instead of allocating a grid; see GenerateInto.
 func (g *Generator) GenerateAtInto(dst []float64, stride int, i0, j0 int64, nx, ny, workers int) {
-	if nx < 1 || ny < 1 {
-		panic(fmt.Sprintf("convgen: invalid window %dx%d", nx, ny))
-	}
-	if stride < nx {
-		panic(fmt.Sprintf("convgen: stride %d below window width %d", stride, nx))
-	}
-	if need := stride*(ny-1) + nx; len(dst) < need {
-		panic(fmt.Sprintf("convgen: destination holds %d samples, window needs %d", len(dst), need))
-	}
-	if workers == 0 {
-		workers = g.Workers
-	}
-	ar := g.arenas.Get().(*genArena)
-	switch g.engineFor(nx, ny) {
-	case EngineDirect:
-		g.convolveDirect(dst, stride, nx, ny, ar, i0, j0, workers)
-	case EngineFFT:
-		g.convolveFFT(dst, stride, nx, ny, ar, i0, j0, workers)
-	}
-	g.arenas.Put(ar)
+	GenerateInto(g, dst, stride, i0, j0, nx, ny, workers)
 }
 
 // GenerateAtInto32 is GenerateAtInto rendering in float32 — the serving
-// hot path. Taps and noise are narrowed once and the multiply-
+// hot path; see GenerateInto.
+func (g *Generator) GenerateAtInto32(dst []float32, stride int, i0, j0 int64, nx, ny, workers int) {
+	GenerateInto(g, dst, stride, i0, j0, nx, ny, workers)
+}
+
+// GenerateInto renders the nx×ny window whose lower corner is lattice
+// point (i0, j0) into a caller-owned destination buffer at precision F:
+// row j of the window lands at dst[j*stride : j*stride+nx], so a tile
+// can be rendered in place inside a larger raster (stride = the
+// raster's row length). Samples outside the written rows/columns are
+// untouched. workers bounds this call's parallelism (0 defers to the
+// generator's Workers field, whose 0 in turn means GOMAXPROCS); unlike
+// mutating Workers, passing it here is safe under concurrent calls on
+// one Generator. Scratch comes from the generator's arena pool, so the
+// call itself allocates nothing in steady state.
+//
+// At float32 the taps and noise are narrowed once and the multiply-
 // accumulate runs entirely in single precision through the simd MAC
 // kernels, which roughly halves memory traffic and doubles SIMD lane
-// count over the float64 reference engine. Agreement with the float64
-// path is statistical, not bit-exact: each sample differs by rounding
-// noise bounded well below the surface's own sampling variability (the
-// agreement tests gate at 1e-4·σh per sample). Under the FFT engine
-// the float64 transforms run unchanged and only the extracted rows are
-// narrowed. All other semantics (row placement, caller ownership,
-// worker bounding, pooled scratch) match GenerateAtInto.
-func (g *Generator) GenerateAtInto32(dst []float32, stride int, i0, j0 int64, nx, ny, workers int) {
+// count over the float64 reference engine. Agreement with float64 is
+// statistical, not bit-exact: each sample differs by rounding noise
+// bounded well below the surface's own sampling variability (the
+// agreement tests gate at 1e-4·σh per sample). Under the FFT engine the
+// float64 transforms run at both precisions and only the extracted rows
+// are narrowed (DESIGN.md §13).
+func GenerateInto[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, nx, ny, workers int) {
+	checkWindow(len(dst), stride, nx, ny)
+	if workers == 0 {
+		workers = g.Workers
+	}
+	ar := g.arenas.Get().(*genArena)
+	switch g.EngineFor(nx, ny) {
+	case EngineDirect:
+		convolveDirect(g, dst, stride, nx, ny, ar, i0, j0, workers)
+	case EngineFFT:
+		convolveFFT(g, dst, stride, nx, ny, ar, i0, j0, workers)
+	}
+	g.arenas.Put(ar)
+}
+
+// checkWindow validates an nx×ny destination window at the given row
+// stride against a destination of dstLen samples.
+func checkWindow(dstLen, stride, nx, ny int) {
 	if nx < 1 || ny < 1 {
 		panic(fmt.Sprintf("convgen: invalid window %dx%d", nx, ny))
 	}
 	if stride < nx {
 		panic(fmt.Sprintf("convgen: stride %d below window width %d", stride, nx))
 	}
-	if need := stride*(ny-1) + nx; len(dst) < need {
-		panic(fmt.Sprintf("convgen: destination holds %d samples, window needs %d", len(dst), need))
+	if need := stride*(ny-1) + nx; dstLen < need {
+		panic(fmt.Sprintf("convgen: destination holds %d samples, window needs %d", dstLen, need))
 	}
-	if workers == 0 {
-		workers = g.Workers
-	}
-	ar := g.arenas.Get().(*genArena)
-	switch g.engineFor(nx, ny) {
-	case EngineDirect:
-		g.convolveDirect32(dst, stride, nx, ny, ar, i0, j0, workers)
-	case EngineFFT:
-		g.convolveFFT32(dst, stride, nx, ny, ar, i0, j0, workers)
-	}
-	g.arenas.Put(ar)
-}
-
-// GenerateAt32 is GenerateAt at float32 render precision, returning a
-// caller-owned Grid32.
-func (g *Generator) GenerateAt32(i0, j0 int64, nx, ny int) *grid.Grid32 {
-	if nx < 1 || ny < 1 {
-		panic(fmt.Sprintf("convgen: invalid window %dx%d", nx, ny))
-	}
-	k := g.kernel
-	out := grid.New32(nx, ny)
-	out.Dx, out.Dy = k.Dx, k.Dy
-	out.X0 = float64(i0) * k.Dx
-	out.Y0 = float64(j0) * k.Dy
-	g.GenerateAtInto32(out.Data, nx, i0, j0, nx, ny, g.Workers)
-	return out
 }
 
 // GenerateCentered materializes an nx×ny window centered on the lattice
@@ -217,14 +188,12 @@ func (g *Generator) GenerateCentered(nx, ny int) *grid.Grid {
 	return g.GenerateAt(-int64(nx/2), -int64(ny/2), nx, ny)
 }
 
-// EngineFor reports the engine GenerateAt* would select for an nx×ny
+// EngineFor reports the engine GenerateInto would select for an nx×ny
 // window — EngineDirect or EngineFFT, resolving EngineAuto's cost
 // heuristic. Callers batching windows against a shared noise plane
-// (ConvolveNoiseInto*, which is direct-only) use it to fall back to the
+// (ConvolveNoise, which is direct-only) use it to fall back to the
 // self-contained API where the FFT engine would win.
-func (g *Generator) EngineFor(nx, ny int) Engine { return g.engineFor(nx, ny) }
-
-func (g *Generator) engineFor(nx, ny int) Engine {
+func (g *Generator) EngineFor(nx, ny int) Engine {
 	switch g.Engine {
 	case EngineDirect, EngineFFT:
 		return g.Engine
@@ -236,55 +205,28 @@ func (g *Generator) engineFor(nx, ny int) Engine {
 	return EngineFFT
 }
 
-// fillNoise materializes the noise window [i0, i0+wx) × [j0, j0+wy)
-// into rows of dst at the given stride.
-func (g *Generator) fillNoise(dst []float64, i0, j0 int64, wx, wy, stride, workers int) {
-	par.For(wy, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			g.field.FillRow(dst[j*stride:j*stride+wx], i0, j0+int64(j))
-		}
-	})
+// convolveDirect fills the window's noise rectangle into the arena and
+// convolves it with the direct engine (ConvolveNoise over that plane).
+func convolveDirect[F simd.Float](g *Generator, dst []F, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
+	ni0, nj0, wx, wy := g.kernel.NoiseWindow(i0, j0, nx, ny)
+	buf := noiseOf[F](ar)
+	*buf = grow(*buf, wx*wy)
+	FillNoise(g.field, *buf, ni0, nj0, wx, wy, workers)
+	ConvolveNoise(g, dst, stride, *buf, wx, ni0, nj0, i0, j0, nx, ny, workers)
 }
 
-// convolveDirect evaluates f(i,j) = Σ_{a,b} taps[b][a]·X(i+a−cx, j+b−cy);
-// the noise window is offset by (−cx, −cy), so the inner expression
-// indexes noise at (i+a, j+b). The tap sum runs through the generic
-// axpy core, which is bit-identical to the literal per-sample sum.
-func (g *Generator) convolveDirect(dst []float64, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
-	k := g.kernel
-	wx := nx + k.Nx - 1
-	wy := ny + k.Ny - 1
-	ar.noise = growF(ar.noise, wx*wy)
-	noise := ar.noise
-	g.fillNoise(noise, i0-int64(k.CX), j0-int64(k.CY), wx, wy, wx, workers)
-	convDirect(dst, stride, nx, ny, k.Taps, k.Nx, k.Ny, noise, wx, simd.MacRow64, workers)
-}
-
-// convolveDirect32 is the float32 serving path: float32 taps, a noise
-// window narrowed at fill time, and the float32 MAC kernel.
-func (g *Generator) convolveDirect32(dst []float32, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
-	k := g.kernel
-	wx := nx + k.Nx - 1
-	wy := ny + k.Ny - 1
-	ar.noise32 = grow32(ar.noise32, wx*wy)
-	noise := ar.noise32
-	ni0, nj0 := i0-int64(k.CX), j0-int64(k.CY)
-	par.For(wy, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			g.field.FillRow32(noise[j*wx:j*wx+wx], ni0, nj0+int64(j))
-		}
-	})
-	convDirect(dst, stride, nx, ny, g.kernelTaps32(), k.Nx, k.Ny, noise, wx, simd.MacRow32, workers)
-}
-
-// kernelTaps32 returns the kernel narrowed to float32, built on first
-// use and cached for the generator's lifetime.
-func (g *Generator) kernelTaps32() []float32 {
+// taps returns the kernel at precision F: Kernel.Taps itself for
+// float64, and for float32 the narrowed copy built on first use and
+// cached for the generator's lifetime.
+func taps[F simd.Float](g *Generator) []F {
+	if t, ok := any(&g.kernel.Taps).(*[]F); ok {
+		return *t
+	}
 	g.taps32Once.Do(func() {
 		g.taps32 = make([]float32, len(g.kernel.Taps))
 		simd.Narrow(g.taps32, g.kernel.Taps)
 	})
-	return g.taps32
+	return *any(&g.taps32).(*[]F)
 }
 
 // convolveFFT computes the same linear correlation with padded
@@ -297,31 +239,15 @@ func (g *Generator) kernelTaps32() []float32 {
 // extracted samples. The kernel half-spectrum is cached per padded
 // size; plans come from the worker-keyed process cache, so steady state
 // builds no tables and allocates nothing beyond the output grid.
-func (g *Generator) convolveFFT(dst []float64, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
-	pad, px := g.convolveFFTPad(nx, ny, ar, i0, j0, workers)
-	for j := 0; j < ny; j++ {
-		copy(dst[j*stride:j*stride+nx], pad[j*px:j*px+nx])
-	}
-}
-
-// convolveFFT32 runs the float64 FFT engine and narrows the extracted
-// rows. The FFT path is already O(N log N) with most of its time in
-// the transforms, so a float32 transform stack would buy little; the
-// f32 speedup lives in the direct path (DESIGN.md §13).
-func (g *Generator) convolveFFT32(dst []float32, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
-	pad, px := g.convolveFFTPad(nx, ny, ar, i0, j0, workers)
-	for j := 0; j < ny; j++ {
-		simd.Narrow(dst[j*stride:j*stride+nx], pad[j*px:j*px+nx])
-	}
-}
-
-// convolveFFTPad computes the correlation on the padded workspace and
-// returns the arena's pad plus its row stride; rows [0, ny) of the
-// valid region start at pad[j*px].
-func (g *Generator) convolveFFTPad(nx, ny int, ar *genArena, i0, j0 int64, workers int) ([]float64, int) {
+//
+// The transforms run in float64 at both precisions and the extracted
+// rows are stored through simd.Narrow (a copy at float64). The FFT path
+// is already O(N log N) with most of its time in the transforms, so a
+// float32 transform stack would buy little; the f32 speedup lives in
+// the direct path (DESIGN.md §13).
+func convolveFFT[F simd.Float](g *Generator, dst []F, stride, nx, ny int, ar *genArena, i0, j0 int64, workers int) {
 	k := g.kernel
-	wx := nx + k.Nx - 1
-	wy := ny + k.Ny - 1
+	ni0, nj0, wx, wy := k.NoiseWindow(i0, j0, nx, ny)
 	px := nextPow2(wx)
 	py := nextPow2(wy)
 	plan, err := fft.CachedPlan2DWorkers(px, py, workers)
@@ -329,8 +255,8 @@ func (g *Generator) convolveFFTPad(nx, ny int, ar *genArena, i0, j0 int64, worke
 		panic(err)
 	}
 	hx := plan.HalfNx()
-	ar.pad = growF(ar.pad, px*py)
-	ar.spec = growC(ar.spec, hx*py)
+	ar.pad = grow(ar.pad, px*py)
+	ar.spec = grow(ar.spec, hx*py)
 	spec := ar.spec
 	pad := ar.pad
 
@@ -341,7 +267,7 @@ func (g *Generator) convolveFFTPad(nx, ny int, ar *genArena, i0, j0 int64, worke
 		for j := lo; j < hi; j++ {
 			row := pad[j*px : (j+1)*px]
 			if j < wy {
-				g.field.FillRow(row[:wx], i0-int64(k.CX), j0-int64(k.CY)+int64(j))
+				g.field.FillRow(row[:wx], ni0, nj0+int64(j))
 				clear(row[wx:])
 			} else {
 				clear(row)
@@ -358,7 +284,9 @@ func (g *Generator) convolveFFTPad(nx, ny int, ar *genArena, i0, j0 int64, worke
 		}
 	})
 	plan.InverseRealTo(pad, spec)
-	return pad, px
+	for j := 0; j < ny; j++ {
+		simd.Narrow(dst[j*stride:j*stride+nx], pad[j*px:j*px+nx])
+	}
 }
 
 // cachedTapsHat returns the half-spectrum of the kernel zero-padded to

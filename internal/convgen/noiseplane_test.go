@@ -68,13 +68,13 @@ func TestConvolveNoiseIntoBitIdentical(t *testing.T) {
 		}
 	}
 
-	want32 := gen.GenerateAt32(i0, j0, nx, ny)
+	want32 := generate32(gen, i0, j0, nx, ny)
 	plane32 := fillPlane32(seed, pi0, pj0, pnx, pny)
 	got32 := make([]float32, nx*ny)
 	gen.ConvolveNoiseInto32(got32, nx, plane32, pnx, pi0, pj0, i0, j0, nx, ny, 1)
 	for i, v := range got32 {
-		if !approx.Exact(float64(v), float64(want32.Data[i])) {
-			t.Fatalf("f32 sample %d = %x, self-contained %x", i, v, want32.Data[i])
+		if !approx.Exact(float64(v), float64(want32[i])) {
+			t.Fatalf("f32 sample %d = %x, self-contained %x", i, v, want32[i])
 		}
 	}
 }

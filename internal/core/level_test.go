@@ -156,10 +156,11 @@ func TestLevelTileAgreesWithDecimatedLevel0(t *testing.T) {
 	// f32 variant: the serving pipeline's single-precision render of the
 	// same (level, seed) must track the f64 render sample-for-sample far
 	// inside the statistical budgets above.
-	g32 := gen(z).GenerateAt32(0, 0, nz, nz)
+	g32 := make([]float32, nz*nz)
+	gen(z).GenerateAtInto32(g32, nz, 0, 0, nz, nz, 0)
 	maxDiff := 0.0
 	w := make([]float64, nz*nz)
-	for i, v := range g32.Data {
+	for i, v := range g32 {
 		w[i] = float64(v)
 		if d := math.Abs(w[i] - gz.Data[i]); d > maxDiff {
 			maxDiff = d

@@ -2,6 +2,7 @@ package inhomo
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"roughsurface/internal/approx"
@@ -68,10 +69,11 @@ type Generator struct {
 	// distinct dilation costs one SupportMask query per tile.
 	extGroups []extentGroup
 
-	// arenas pools the per-tile scratch (active component fields and
-	// the weight vector) so the sparse path allocates nothing per tile
-	// in steady state beyond the returned grid.
-	arenas sync.Pool
+	// arenas pools the per-tile scratch (tileArena[F]) and planes the
+	// per-window shared noise (noisePlane[F]), one pool per render
+	// precision (see poolFor), so the tiled path allocates nothing per
+	// tile in steady state beyond the returned grid.
+	arenas, planes [2]sync.Pool
 }
 
 // extentGroup is the set of component indices whose kernels share the
@@ -81,28 +83,49 @@ type extentGroup struct {
 	comps  []int
 }
 
-// tileArena is one worker's scratch for rendering a multi-active tile.
-// The f64 and f32 paths keep separate field buffers so a mixed-precision
-// serving workload does not thrash one set of allocations.
-type tileArena struct {
-	fields   [][]float64 // one tile-sized buffer per active component
-	fields32 [][]float32 // f32 render path's counterpart
-	w        []float64   // BlendWeights output, length M
-	active   []int       // indices of active components
+// tileArena is one worker's scratch for rendering a multi-active tile
+// at precision F.
+type tileArena[F simd.Float] struct {
+	fields [][]F     // one tile-sized buffer per active component
+	w      []float64 // BlendWeights output, length M
+	active []int     // indices of active components
 }
 
-func growFloats(buf []float64, n int) []float64 {
+// noisePlane is one window's shared noise: field samples at precision F
+// for the lattice rectangle [pi0, pi0+pnx) × [pj0, …), row-major at
+// stride pnx, as convgen.FillNoise writes them.
+type noisePlane[F simd.Float] struct {
+	data     []F
+	pnx      int
+	pi0, pj0 int64
+}
+
+// poolFor returns the one of pools that serves precision F: index 0
+// for float64, 1 for float32.
+func poolFor[F simd.Float](pools *[2]sync.Pool) *sync.Pool {
+	var zero F
+	if _, ok := any(zero).(float32); ok {
+		return &pools[1]
+	}
+	return &pools[0]
+}
+
+// fromPool takes a *T from p, or a new zero T when p is empty.
+func fromPool[T any](p *sync.Pool) *T {
+	v, _ := p.Get().(*T)
+	if v == nil {
+		v = new(T)
+	}
+	return v
+}
+
+// grow returns buf resliced to n, reallocating only when capacity is
+// insufficient.
+func grow[T any](buf []T, n int) []T {
 	if cap(buf) >= n {
 		return buf[:n]
 	}
-	return make([]float64, n)
-}
-
-func growFloats32(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	return make([]float32, n)
+	return make([]T, n)
 }
 
 // NewGenerator validates the component set against the blender.
@@ -139,10 +162,8 @@ func NewGenerator(kernels []*convgen.Kernel, blender Blender, seed uint64) (*Gen
 			groups = append(groups, extentGroup{ex: ex, ey: ey, comps: []int{i}})
 		}
 	}
-	g := &Generator{kernels: kernels, convs: convs, blender: blender, seed: seed,
-		dx: dx, dy: dy, extGroups: groups}
-	g.arenas.New = func() any { return &tileArena{} }
-	return g, nil
+	return &Generator{kernels: kernels, convs: convs, blender: blender, seed: seed,
+		dx: dx, dy: dy, extGroups: groups}, nil
 }
 
 // MustGenerator is NewGenerator that panics on error.
@@ -166,39 +187,48 @@ func (g *Generator) GenerateAt(i0, j0 int64, nx, ny int) *grid.Grid {
 // into the caller-owned grid; out.Nx×out.Ny fixes the window size and
 // the grid's spacing/origin metadata is overwritten to match. Reusing
 // one grid across calls makes steady-state generation allocation-free
-// on the tiled path (per-tile scratch is pooled).
+// on the tiled path (per-tile scratch is pooled). See GenerateInto.
 func (g *Generator) GenerateAtInto(out *grid.Grid, i0, j0 int64) {
-	if out == nil || out.Nx < 1 || out.Ny < 1 {
-		panic("inhomo: GenerateAtInto needs a non-empty destination grid")
-	}
 	out.Dx, out.Dy = g.dx, g.dy
-	out.X0 = float64(i0) * g.dx
-	out.Y0 = float64(j0) * g.dy
+	out.X0, out.Y0 = float64(i0)*g.dx, float64(j0)*g.dy
+	GenerateInto(g, out.Data, out.Nx, out.Ny, i0, j0)
+}
+
+// GenerateInto renders the nx×ny window with lower lattice corner
+// (i0, j0) into dst, row-major at stride nx, at precision F. It is the
+// one body behind GenerateAt and the float32 serving path: every
+// engine runs the same path selection, with the component convolutions
+// (convgen) and the weight blend (blendRows) instantiated at F.
+// Agreement of float32 with the float64 engine is tolerance-gated in
+// precision_test.go.
+func GenerateInto[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64) {
+	if nx < 1 || ny < 1 || len(dst) < nx*ny {
+		panic(fmt.Sprintf("inhomo: window %dx%d needs a destination of as many samples, got %d", nx, ny, len(dst)))
+	}
 	if g.Reference {
-		g.generateReference(out, i0, j0)
+		// The literal eqn (46) evaluator exists to validate the fast
+		// paths, so it stays float64-only; its f32 view is the f64
+		// result rounded once per sample (at float64 the store is a
+		// no-op copy of dst onto itself).
+		ref, ok := any(dst).([]float64)
+		if !ok {
+			ref = make([]float64, nx*ny)
+		}
+		g.generateReference(ref, nx, ny, i0, j0)
+		simd.Narrow(dst[:nx*ny], ref[:nx*ny])
 		return
 	}
-	nx, ny := out.Nx, out.Ny
-	switch g.Engine {
-	case EngineDense:
-		g.generateFast(out, i0, j0)
-		return
-	case EngineTiled:
-		tiles := grid.Tiling(nx, ny, g.tileSize(), g.tileSize())
-		g.generateTiled(out, i0, j0, tiles, g.tileMasks(tiles, i0, j0))
-		return
-	}
-	if _, ok := g.blender.(SupportMasker); !ok {
-		g.generateFast(out, i0, j0)
+	if _, ok := g.blender.(SupportMasker); g.Engine == EngineDense || (g.Engine == EngineAuto && !ok) {
+		generateDense(g, dst, nx, ny, i0, j0, nil)
 		return
 	}
 	tiles := grid.Tiling(nx, ny, g.tileSize(), g.tileSize())
 	masks := g.tileMasks(tiles, i0, j0)
-	if shared := sharedMask(masks); shared != nil {
-		g.generateFastMasked(out, i0, j0, shared)
+	if shared := sharedMask(masks); shared != nil && g.Engine == EngineAuto {
+		generateDense(g, dst, nx, ny, i0, j0, shared)
 		return
 	}
-	g.generateTiled(out, i0, j0, tiles, masks)
+	generateTiled(g, dst, nx, i0, j0, tiles, masks)
 }
 
 // GenerateCentered materializes an nx×ny window centered on the lattice
@@ -240,6 +270,14 @@ func (g *Generator) tileMasks(tiles []grid.Tile, i0, j0 int64) [][]bool {
 				mask[m] = qm[m]
 			}
 		}
+		if !slices.Contains(mask, true) {
+			// A conservative mask can never be all-false under a
+			// partition of unity; guard against a broken custom masker
+			// anyway by rendering every component.
+			for m := range mask {
+				mask[m] = true
+			}
+		}
 		masks[t] = mask
 	}
 	return masks
@@ -265,57 +303,105 @@ func sharedMask(masks [][]bool) []bool {
 // of M × window area. Tiles are scheduled through par.Dynamic because
 // their costs are heterogeneous — a seam tile with three active
 // components costs several times an interior tile — and static chunking
-// would idle workers behind the expensive ones.
-func (g *Generator) generateTiled(out *grid.Grid, i0, j0 int64, tiles []grid.Tile, masks [][]bool) {
+// would idle workers behind the expensive ones. dst rows have stride
+// nx, the window width.
+func generateTiled[F simd.Float](g *Generator, dst []F, nx int, i0, j0 int64, tiles []grid.Tile, masks [][]bool) {
+	p := takePlane[F](g, i0, j0, tiles, masks)
+	defer poolFor[F](&g.planes).Put(p)
 	par.Dynamic(len(tiles), g.Workers, func(t int) {
-		g.renderTile(out, i0, j0, tiles[t], masks[t])
+		renderTile(g, dst, nx, i0, j0, tiles[t], masks[t], p)
 	})
 }
 
 // renderTile materializes one tile of the window in place. The tile is
 // the unit of parallelism, so the per-component generation below runs
 // single-worker.
-func (g *Generator) renderTile(out *grid.Grid, i0, j0 int64, t grid.Tile, mask []bool) {
-	ar := g.arenas.Get().(*tileArena)
-	defer g.arenas.Put(ar)
+func renderTile[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64, t grid.Tile, mask []bool, p *noisePlane[F]) {
+	pool := poolFor[F](&g.arenas)
+	ar := fromPool[tileArena[F]](pool)
+	defer pool.Put(ar)
 	active := ar.active[:0]
 	for m, on := range mask {
 		if on {
 			active = append(active, m)
 		}
 	}
-	if len(active) == 0 {
-		// A conservative mask can never be all-false under a partition
-		// of unity; guard against a broken custom masker anyway.
-		for m := range mask {
-			active = append(active, m)
-		}
-	}
 	ar.active = active
 
-	base := t.Y0*out.Nx + t.X0
+	base := t.Y0*stride + t.X0
 	ti0, tj0 := i0+int64(t.X0), j0+int64(t.Y0)
 	if len(active) == 1 {
 		// Sole active component ⇒ its weight is identically 1 on the
 		// tile (weights sum to 1 and the rest are provably zero):
 		// generate straight into the output rows, no blend pass.
-		g.convs[active[0]].GenerateAtInto(out.Data[base:], out.Nx, ti0, tj0, t.Nx, t.Ny, 1)
+		renderComponent(g, p, active[0], dst[base:], stride, ti0, tj0, t.Nx, t.Ny, 1)
 		return
 	}
 
 	n := t.Nx * t.Ny
 	if cap(ar.fields) < len(active) {
-		ar.fields = append(ar.fields, make([][]float64, len(active)-len(ar.fields))...)
+		ar.fields = append(ar.fields, make([][]F, len(active)-len(ar.fields))...)
 	}
 	fields := ar.fields[:len(active)]
 	for s, m := range active {
-		fields[s] = growFloats(fields[s], n)
-		g.convs[m].GenerateAtInto(fields[s], t.Nx, ti0, tj0, t.Nx, t.Ny, 1)
+		fields[s] = grow(fields[s], n)
+		renderComponent(g, p, m, fields[s], t.Nx, ti0, tj0, t.Nx, t.Ny, 1)
 	}
 	ar.fields = fields[:cap(fields)]
-	w := growFloats(ar.w, len(mask))
-	ar.w = w
-	blendRows(g.blender, out.Data[base:], out.Nx, t.Nx, fields, active, 0, t.Ny, ti0, tj0, g.dx, g.dy, w)
+	ar.w = grow(ar.w, len(mask))
+	blendRows(g.blender, dst[base:], stride, t.Nx, fields, active, 0, t.Ny, ti0, tj0, g.dx, g.dy, ar.w)
+}
+
+// takePlane fills a pooled noise plane for one window (return it to
+// poolFor[F](&g.planes) after use). Every component reads the same
+// seed's field, so one plane serves all tiles and all components — the
+// Box–Muller transform (log/sqrt/cos per sample, the dominant cost of
+// small-kernel rendering) runs once per lattice point instead of once
+// per tile per active component. The plane covers the window plus the
+// halo of every component renderComponent will convolve from it: those
+// active on some tile and on the direct engine at that tile's size.
+// When no component is, the plane stays empty.
+func takePlane[F simd.Float](g *Generator, i0, j0 int64, tiles []grid.Tile, masks [][]bool) *noisePlane[F] {
+	p := fromPool[noisePlane[F]](poolFor[F](&g.planes))
+	var l, r, t, b, nx, ny int
+	used := false
+	for ti, tile := range tiles {
+		nx, ny = max(nx, tile.X0+tile.Nx), max(ny, tile.Y0+tile.Ny)
+		for m, on := range masks[ti] {
+			if !on || g.convs[m].EngineFor(tile.Nx, tile.Ny) != convgen.EngineDirect {
+				continue
+			}
+			k := g.kernels[m]
+			l, r = max(l, k.CX), max(r, k.Nx-1-k.CX)
+			t, b = max(t, k.CY), max(b, k.Ny-1-k.CY)
+			used = true
+		}
+	}
+	if !used {
+		p.data = p.data[:0]
+		return p
+	}
+	p.pi0, p.pj0 = i0-int64(l), j0-int64(t)
+	p.pnx = nx + l + r
+	pny := ny + t + b
+	p.data = grow(p.data, p.pnx*pny)
+	convgen.FillNoise(rng.NewField(g.seed), p.data, p.pi0, p.pj0, p.pnx, pny, g.Workers)
+	return p
+}
+
+// renderComponent renders component m over an nx×ny window into dst at
+// the given row stride: from the shared plane when the component runs
+// the direct engine at this window size (bit-identical to its
+// self-contained render), otherwise through the self-contained
+// convgen.GenerateInto, where the FFT engine amortizes better than
+// plane reuse.
+func renderComponent[F simd.Float](g *Generator, p *noisePlane[F], m int, dst []F, stride int, i0, j0 int64, nx, ny, workers int) {
+	cg := g.convs[m]
+	if cg.EngineFor(nx, ny) == convgen.EngineDirect {
+		convgen.ConvolveNoise(cg, dst, stride, p.data, p.pnx, p.pi0, p.pj0, i0, j0, nx, ny, workers)
+		return
+	}
+	convgen.GenerateInto(cg, dst, stride, i0, j0, nx, ny, workers)
 }
 
 // blendRows is the precision-generic weight-blend inner loop shared by
@@ -345,58 +431,49 @@ func blendRows[F simd.Float](b Blender, dst []F, dstStride, nx int, fields [][]F
 	}
 }
 
-// generateFast produces each component's homogeneous surface from the
-// shared noise field and mixes them pointwise: f = Σ_m g_n(m)·F_m(n).
-// This is eqn (46) after exchanging the two sums.
-func (g *Generator) generateFast(out *grid.Grid, i0, j0 int64) {
-	active := make([]bool, len(g.kernels))
-	for i := range active {
-		active[i] = true
+// generateDense produces each active component's homogeneous surface
+// over the whole window from the shared noise field and mixes them
+// pointwise: f = Σ_m g_n(m)·F_m(n). This is eqn (46) after exchanging
+// the two sums. active is a window-wide support mask (nil = every
+// component): components it rules out carry zero weight everywhere, so
+// skipping their fields is exact. With a single active component the
+// window is that component's homogeneous surface and the blend sweep is
+// skipped entirely.
+func generateDense[F simd.Float](g *Generator, dst []F, nx, ny int, i0, j0 int64, active []bool) {
+	if active == nil {
+		active = make([]bool, len(g.kernels))
+		for m := range active {
+			active[m] = true
+		}
 	}
-	g.generateFastMasked(out, i0, j0, active)
-}
-
-// generateFastMasked is generateFast restricted to the components a
-// window-wide support mask leaves active: components the mask rules out
-// carry zero weight everywhere, so skipping their fields is exact. With
-// a single active component the window is that component's homogeneous
-// surface and the blend sweep is skipped entirely.
-func (g *Generator) generateFastMasked(out *grid.Grid, i0, j0 int64, active []bool) {
-	nx, ny := out.Nx, out.Ny
-	count := 0
-	last := 0
+	var act []int
 	for m, on := range active {
 		if on {
-			count++
-			last = m
+			act = append(act, m)
 		}
 	}
-	if count == 1 {
-		g.convs[last].GenerateAtInto(out.Data, nx, i0, j0, nx, ny, g.Workers)
+	if len(act) == 1 {
+		convgen.GenerateInto(g.convs[act[0]], dst, nx, i0, j0, nx, ny, g.Workers)
 		return
 	}
-	fields := make([][]float64, 0, count)
-	act := make([]int, 0, count)
-	for m, cg := range g.convs {
-		if !active[m] {
-			continue
-		}
-		f := make([]float64, nx*ny)
-		cg.GenerateAtInto(f, nx, i0, j0, nx, ny, g.Workers)
-		fields = append(fields, f)
-		act = append(act, m)
+	window := []grid.Tile{{Nx: nx, Ny: ny}}
+	p := takePlane[F](g, i0, j0, window, [][]bool{active})
+	fields := make([][]F, len(act))
+	for s, m := range act {
+		fields[s] = make([]F, nx*ny)
+		renderComponent(g, p, m, fields[s], nx, i0, j0, nx, ny, g.Workers)
 	}
+	poolFor[F](&g.planes).Put(p)
 	par.For(ny, g.Workers, func(lo, hi int) {
 		w := make([]float64, len(g.kernels))
-		blendRows(g.blender, out.Data, nx, nx, fields, act, lo, hi, i0, j0, g.dx, g.dy, w)
+		blendRows(g.blender, dst, nx, nx, fields, act, lo, hi, i0, j0, g.dx, g.dy, w)
 	})
 }
 
 // generateReference evaluates eqn (46) literally: at every output point
 // the blended kernel Σ_m g·w̃(m) is applied to the noise window.
-func (g *Generator) generateReference(out *grid.Grid, i0, j0 int64) {
+func (g *Generator) generateReference(dst []float64, nx, ny int, i0, j0 int64) {
 	field := rng.NewField(g.seed)
-	nx, ny := out.Nx, out.Ny
 	par.For(ny, g.Workers, func(lo, hi int) {
 		w := make([]float64, len(g.kernels))
 		for j := lo; j < hi; j++ {
@@ -419,7 +496,7 @@ func (g *Generator) generateReference(out *grid.Grid, i0, j0 int64) {
 					}
 					acc += w[m] * conv
 				}
-				out.Data[j*nx+i] = acc
+				dst[j*nx+i] = acc
 			}
 		}
 	})

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"roughsurface/internal/approx"
-	"roughsurface/internal/grid"
 )
 
 // f32BlendTol gates the float32 render path against the float64
@@ -32,12 +31,9 @@ func TestInhomoGenerate32AgreesWithF64(t *testing.T) {
 				g32.TileSize = 16
 				const nx, ny = 48, 40
 				want := g64.GenerateAt(-24, -20, nx, ny)
-				got := g32.GenerateAt32(-24, -20, nx, ny)
-				if !approx.Exact(got.Dx, want.Dx) || !approx.Exact(got.X0, want.X0) ||
-					!approx.Exact(got.Y0, want.Y0) {
-					t.Fatalf("engine %v: metadata mismatch: %+v", engine, got)
-				}
-				for i, v := range got.Data {
+				got := make([]float32, nx*ny)
+				GenerateInto(g32, got, nx, ny, -24, -20)
+				for i, v := range got {
 					if d := math.Abs(float64(v) - want.Data[i]); d > f32BlendTol {
 						t.Fatalf("engine %v: sample %d f32=%g f64=%g (|Δ|=%.3g > %.3g)",
 							engine, i, v, want.Data[i], d, f32BlendTol)
@@ -58,42 +54,43 @@ func TestInhomoReference32(t *testing.T) {
 	ref := MustGenerator(ks, blender, 7)
 	ref.Reference = true
 	want := ref.GenerateAt(-6, -5, 12, 10)
-	got := ref.GenerateAt32(-6, -5, 12, 10)
-	for i, v := range got.Data {
+	got := make([]float32, 12*10)
+	GenerateInto(ref, got, 12, 10, -6, -5)
+	for i, v := range got {
 		if !approx.Exact(float64(v), float64(float32(want.Data[i]))) {
 			t.Fatalf("sample %d = %g, want narrow(%g)", i, v, want.Data[i])
 		}
 	}
 }
 
-// TestGenerateAtInto32Reuse: rendering two windows through one reused
-// grid must equal fresh allocations (pooled scratch reset correctly)
-// and overwrite the metadata each time.
+// TestGenerateAtInto32Reuse: rendering windows at float32 through one
+// reused buffer must equal fresh buffers — pooled tile scratch and
+// noise planes are reset correctly.
 func TestGenerateAtInto32Reuse(t *testing.T) {
 	ks := threeKernels(t)
 	g := MustGenerator(ks, tiledBlenders(t)["plate-circle"], 9)
 	g.Engine = EngineTiled
 	g.TileSize = 16
-	out := grid.New32(40, 32)
+	out := make([]float32, 40*32)
 	for _, origin := range []struct{ i0, j0 int64 }{{-20, -16}, {5, 9}, {-20, -16}} {
-		g.GenerateAtInto32(out, origin.i0, origin.j0)
-		want := g.GenerateAt32(origin.i0, origin.j0, 40, 32)
-		if !approx.Exact(out.X0, want.X0) || !approx.Exact(out.Y0, want.Y0) {
-			t.Fatalf("origin (%d,%d): metadata not overwritten: %+v", origin.i0, origin.j0, out)
-		}
-		for i, v := range out.Data {
-			if !approx.Exact(float64(v), float64(want.Data[i])) {
-				t.Fatalf("origin (%d,%d): sample %d = %g, want %g", origin.i0, origin.j0, i, v, want.Data[i])
+		GenerateInto(g, out, 40, 32, origin.i0, origin.j0)
+		want := make([]float32, 40*32)
+		GenerateInto(g, want, 40, 32, origin.i0, origin.j0)
+		for i, v := range out {
+			if !approx.Exact(float64(v), float64(want[i])) {
+				t.Fatalf("origin (%d,%d): sample %d = %g, want %g", origin.i0, origin.j0, i, v, want[i])
 			}
 		}
 	}
 }
 
+// TestGenerateAtInto32Panics: the float32 render rejects a missing
+// destination raster and an empty window.
 func TestGenerateAtInto32Panics(t *testing.T) {
 	g := MustGenerator(threeKernels(t), UniformBlender{M: 3}, 1)
 	for name, fn := range map[string]func(){
-		"nil grid":   func() { g.GenerateAtInto32(nil, 0, 0) },
-		"empty grid": func() { g.GenerateAtInto32(&grid.Grid32{}, 0, 0) },
+		"nil grid":   func() { GenerateInto(g, []float32(nil), 4, 4, 0, 0) },
+		"empty grid": func() { GenerateInto(g, make([]float32, 16), 0, 4, 0, 0) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			defer func() {

@@ -257,3 +257,55 @@ func TestConcurrentGenerateAt(t *testing.T) {
 		}
 	}
 }
+
+// TestTiledFFTComponent covers the tiled engine's FFT branch, which
+// threeKernels avoids by design. The middle plate's kernel (cl = 100,
+// 247×247 taps) costs more than the direct budget on a full 64² tile,
+// so full tiles render it self-contained through the FFT engine, while
+// the smaller edge tiles keep it on the direct engine and read it from
+// the shared noise plane. At both precisions the tiled window must
+// match the dense engine, and f32 must match f64 within f32BlendTol.
+func TestTiledFFTComponent(t *testing.T) {
+	big, err := convgen.Design(spectrum.MustGaussian(1, 100, 100), 1, 1, 6, 1e-3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := threeKernels(t)
+	ks[1] = big
+	blender := tiledBlenders(t)["plate"]
+	gen := func(engine Engine) *Generator {
+		g := MustGenerator(ks, blender, 21)
+		g.Engine = engine
+		return g
+	}
+	if big.Nx != 247 || big.Ny != 247 {
+		t.Fatalf("kernel is %dx%d, want 247x247", big.Nx, big.Ny)
+	}
+	if e := gen(EngineTiled).convs[1].EngineFor(64, 64); e != convgen.EngineFFT {
+		t.Fatalf("64² tile picks engine %v, want FFT", e)
+	}
+	const i0, j0, nx, ny = -48, -40, 96, 80 // tiles 64² and 32×64, 64×16, 32×16
+	render := func(engine Engine) ([]float64, []float32) {
+		d64 := make([]float64, nx*ny)
+		GenerateInto(gen(engine), d64, nx, ny, i0, j0)
+		d32 := make([]float32, nx*ny)
+		GenerateInto(gen(engine), d32, nx, ny, i0, j0)
+		return d64, d32
+	}
+	tiled64, tiled32 := render(EngineTiled)
+	dense64, dense32 := render(EngineDense)
+	for i := range tiled64 {
+		if d := math.Abs(tiled64[i] - dense64[i]); d > 1e-9 {
+			t.Fatalf("f64 sample %d: tiled %g, dense %g (|Δ|=%.3g)", i, tiled64[i], dense64[i], d)
+		}
+		if d := math.Abs(float64(tiled32[i] - dense32[i])); d > f32BlendTol {
+			t.Fatalf("f32 sample %d: tiled %g, dense %g (|Δ|=%.3g)", i, tiled32[i], dense32[i], d)
+		}
+		if d := math.Abs(float64(tiled32[i]) - tiled64[i]); d > f32BlendTol {
+			t.Fatalf("tiled sample %d: f32 %g, f64 %g (|Δ|=%.3g)", i, tiled32[i], tiled64[i], d)
+		}
+		if d := math.Abs(float64(dense32[i]) - dense64[i]); d > f32BlendTol {
+			t.Fatalf("dense sample %d: f32 %g, f64 %g (|Δ|=%.3g)", i, dense32[i], dense64[i], d)
+		}
+	}
+}

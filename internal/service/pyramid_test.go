@@ -92,7 +92,8 @@ func TestPyramidHeadersAndValidation(t *testing.T) {
 	for _, want := range []string{"/tile/1/2,-2", "/tile/1/4,-2", "/tile/1/3,-3", "/tile/1/3,-1"} {
 		found := false
 		for _, l := range links {
-			if strings.Contains(l, want) && strings.Contains(l, `rel=prefetch`) && strings.Contains(l, "seed=9") {
+			if strings.Contains(l, want) && strings.Contains(l, `rel=prefetch`) && strings.Contains(l, "seed=9") &&
+				strings.Contains(l, "precision=f64") {
 				found = true
 			}
 		}
@@ -218,6 +219,43 @@ func TestPrefetchWarmsNeighbors(t *testing.T) {
 	// A client following the Link hint gets a hit.
 	if _, cache := getTile(t, ts, "/v1/scene/"+id+"/tile/1/1,0?seed=1"); cache != "hit" {
 		t.Error("prefetched neighbor served as a miss")
+	}
+}
+
+// TestPrefetchHintsCarryPrecision: the Link hints name the precision
+// the neighbors are prefetched at, so a client that asked for f32 tiles
+// of an f64-default scene and follows a hint lands on the prefetched
+// f32 entry instead of rendering f64 bytes.
+func TestPrefetchHintsCarryPrecision(t *testing.T) {
+	s, ts := testServer(t, Config{Workers: 2, TileEdge: 32})
+	id := postScene(t, ts, fixtureHomog)
+
+	resp, err := http.Get(ts.URL + "/v1/scene/" + id + "/tile/1/0,0?seed=1&precision=f32")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		t.Fatal(err)
+	}
+	var hint string
+	for _, l := range resp.Header.Values("Link") {
+		if strings.Contains(l, "/tile/1/1,0?") {
+			hint = l[strings.Index(l, "<")+1 : strings.Index(l, ">")]
+		}
+	}
+	if !strings.Contains(hint, "precision=f32") {
+		t.Fatalf("hint for neighbor (1,0) is %q, want precision=f32", hint)
+	}
+	win := window{x0: 32, y0: 0, nx: 32, ny: 32}
+	key := cacheKey(id, 1, 1, win, formatF32, "f32")
+	for deadline := time.Now().Add(10 * time.Second); !s.cache.contains(key); time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("f32 neighbor not prefetched within deadline")
+		}
+	}
+	if _, cache := getTile(t, ts, hint); cache != "hit" {
+		t.Errorf("following the hint %q served a %s, want the prefetched hit", hint, cache)
 	}
 }
 

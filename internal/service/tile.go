@@ -13,6 +13,7 @@ import (
 	"roughsurface/internal/core"
 	"roughsurface/internal/grid"
 	"roughsurface/internal/render"
+	"roughsurface/internal/simd"
 )
 
 // window is one requested tile: lattice lower corner and sample counts.
@@ -178,8 +179,8 @@ func (s *Server) handleTileZ(w http.ResponseWriter, r *http.Request) {
 	h := w.Header()
 	h.Set("X-RRS-Level", strconv.Itoa(z))
 	for _, nb := range neighborTiles(x, y) {
-		h.Add("Link", fmt.Sprintf("</v1/scene/%s/tile/%d/%d,%d?seed=%d&format=%s>; rel=prefetch",
-			entry.ID, z, nb[0], nb[1], p.seed, p.format))
+		h.Add("Link", fmt.Sprintf("</v1/scene/%s/tile/%d/%d,%d?seed=%d&format=%s&precision=%s>; rel=prefetch",
+			entry.ID, z, nb[0], nb[1], p.seed, p.format, p.precision))
 	}
 	s.serveTile(w, r, entry, z, win, p)
 	// Detached from the request: the hinted neighbors should keep
@@ -372,28 +373,34 @@ type tileResult struct {
 // Runs on a pool worker; ctx carries the request deadline across the
 // submit boundary. At f32 precision the surface renders through the
 // single-precision SIMD pipeline (half the working set, vectorized MAC
-// kernels) and the f32 wire format is emitted without a float64 round
-// trip; PNG tiles widen the rendered samples for the shared
-// colormapper.
+// kernels); either way encodeTile takes it from there.
 func (s *Server) renderTile(ctx context.Context, entry *sceneEntry, level int, seed uint64, win window, format, precision string) tileResult {
 	gen, err := entry.generator(ctx, level, seed)
 	if err != nil {
 		return tileResult{err: err}
 	}
 	if precision == core.PrecisionF32 {
-		out := grid.New32(win.nx, win.ny)
-		gen.generate32(out, win.x0, win.y0)
-		if format == formatPNG {
-			return encodePNG(out.Widen())
+		return encodeTile(generate[float32](gen, win), win, format)
+	}
+	return encodeTile(generate[float64](gen, win), win, format)
+}
+
+// encodeTile encodes rendered samples in the requested format. PNG
+// tiles widen f32 samples for the shared colormapper (an f64 render is
+// used as is); f32 tiles narrow f64 samples once, while f32 samples
+// already hold the wire precision.
+func encodeTile[F simd.Float](data []F, win window, format string) tileResult {
+	if format != formatPNG {
+		return tileResult{body: encodeF32(data), ctype: "application/octet-stream"}
+	}
+	wide, ok := any(data).([]float64)
+	if !ok {
+		wide = make([]float64, len(data))
+		for i, v := range data {
+			wide[i] = float64(v)
 		}
-		return tileResult{body: encodeF32Native(out), ctype: "application/octet-stream"}
 	}
-	out := grid.New(win.nx, win.ny)
-	gen.generate(out, win.x0, win.y0)
-	if format == formatPNG {
-		return encodePNG(out)
-	}
-	return tileResult{body: encodeF32(out), ctype: "application/octet-stream"}
+	return encodePNG(&grid.Grid{Nx: win.nx, Ny: win.ny, Data: wide})
 }
 
 // encodePNG encodes a PNG tile. The body is copied out of the encoder's
@@ -408,31 +415,21 @@ func encodePNG(g *grid.Grid) tileResult {
 	return tileResult{body: bytes.Clone(buf.Bytes()), ctype: "image/png"}
 }
 
-// encodeF32 packs the grid row-major (row 0 first) as little-endian
+// encodeF32 packs samples row-major (row 0 first) as little-endian
 // float32 — the wire format of the f32 tile. float32 halves bandwidth
 // relative to the internal float64 at far more precision than surface
-// statistics need, and the narrowing is deterministic.
-func encodeF32(g *grid.Grid) []byte {
-	body := make([]byte, 4*len(g.Data))
-	for i, v := range g.Data {
+// statistics need, and the narrowing is deterministic; on f32-rendered
+// samples float32(v) is the identity, so they go out bit for bit.
+func encodeF32[F simd.Float](data []F) []byte {
+	body := make([]byte, 4*len(data))
+	for i, v := range data {
 		binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(float32(v)))
 	}
 	return body
 }
 
-// encodeF32Native packs an f32-rendered tile: the samples already hold
-// the wire precision, so the body is their little-endian bits with no
-// widen/narrow round trip.
-func encodeF32Native(g *grid.Grid32) []byte {
-	body := make([]byte, 4*len(g.Data))
-	for i, v := range g.Data {
-		binary.LittleEndian.PutUint32(body[4*i:], math.Float32bits(v))
-	}
-	return body
-}
-
-// decodeF32 is the inverse of encodeF32's framing (float32 precision);
-// exported to tests and rrsload via the package boundary being shared.
+// decodeF32 is the inverse of encodeF32's framing (float32 precision),
+// used by the package's tests.
 func decodeF32(body []byte) []float32 {
 	out := make([]float32, len(body)/4)
 	for i := range out {

@@ -119,14 +119,16 @@ func boxMullerGeneric(dst, u1, u2 []float64) {
 	}
 }
 
-// Narrow converts src to float32 into dst (round-to-nearest, the only
-// narrowing the pipeline performs). Lengths must match.
-func Narrow(dst []float32, src []float64) {
+// Narrow converts src to precision F into dst: round-to-nearest for
+// float32, the only narrowing the pipeline performs, and a plain copy
+// for float64, so one generic store serves both render precisions.
+// Lengths must match.
+func Narrow[F Float](dst []F, src []float64) {
 	if len(dst) != len(src) {
 		panic("simd: Narrow length mismatch")
 	}
 	for i, v := range src {
-		dst[i] = float32(v)
+		dst[i] = F(v)
 	}
 }
 

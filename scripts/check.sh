@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # check.sh — the repository's verification gate. CI runs exactly this
 # script; run it locally before pushing. It chains:
-#   build → gofmt → go vet → rrslint → tests → race tests → bench smoke
-#   → fuzz smoke.
+#   build → gofmt → go vet → rrslint → tests → race tests → rrsd and
+#   cluster smokes → perfbench module → bench smoke → fuzz smoke.
 # and prints a per-step timing summary at the end (also on failure,
 # with the failing step named — slow steps are the first suspects).
 #
@@ -121,11 +121,13 @@ step_end
 # check (two fetches, one cold one cached, must agree).
 # The pyramid route is exercised at z=0 (which must alias the golden
 # free-window tile byte-for-byte, via the shared cache entry) and z=2,
-# and /metrics must expose the per-level hit/miss counters. A second
-# daemon with -gen-workers 4 must reproduce the golden tile exactly
-# (the determinism contract detflow/floatreduce enforce statically).
+# and /metrics must expose the per-level hit/miss counters. A plate
+# scene pins the inhomogeneous engine's bytes the same way. A second
+# daemon with -gen-workers 4 must reproduce the golden and plate tiles
+# exactly (the determinism contract detflow/floatreduce enforce
+# statically).
 # Finally SIGTERM must drain and exit 0 within the deadline.
-step_begin "rrsd smoke (healthz, golden tile, pyramid route, worker determinism, graceful shutdown)"
+step_begin "rrsd smoke (healthz, golden tiles, plate pins, pyramid route, worker determinism, graceful shutdown)"
 GOLDEN_TILE_SHA256="c489266437db4399309159e8e96ed6998423d7d28d5740b2ce569abeb6c36688"
 GOLDEN_TILE32_SHA256="c38014bea2a177adebb1b8092a5f817da295d245199b9cb73fa9da4d7ed8669a"
 SMOKE_DIR="$(mktemp -d)"
@@ -162,6 +164,33 @@ else
     curl -sf "$TILE_URL&precision=f32" -o "$SMOKE_DIR/tile32b.f32"
     cmp "$SMOKE_DIR/tile32.f32" "$SMOKE_DIR/tile32b.f32"
 fi
+# Inhomogeneous bytes: the paper's Fig. 2 plate scene (four quadrants,
+# four spectrum families; perfbench's platesScene), one 256² window
+# across the corner, both seams and four interiors, at both render
+# precisions and through the PNG encoder. Pinned on amd64 like the
+# goldens above; elsewhere two fetches must agree.
+PLATES='{"nx":64,"ny":64,"method":"plate","regions":[{"shape":"rect","x0":0,"y0":0,"t":16,"spectrum":{"family":"gaussian","h":1,"cl":8}},{"shape":"rect","x1":0,"y0":0,"t":16,"spectrum":{"family":"powerlaw","h":1.5,"cl":12,"n":2}},{"shape":"rect","x1":0,"y1":0,"t":16,"spectrum":{"family":"exponential","h":2,"cl":16}},{"shape":"rect","x0":0,"y1":0,"t":16,"spectrum":{"family":"powerlaw","h":1.5,"cl":12,"n":3}}]}'
+PLATES_ID="$(curl -sf -X POST --data "$PLATES" "http://$RRSD_ADDR/v1/scene" \
+    | sed -E 's/.*"id":"([0-9a-f]+)".*/\1/')"
+[[ "$PLATES_ID" == "a1e6cffa16590def394f3456861fb173" ]] \
+    || { echo "plate scene id drifted: $PLATES_ID" >&2; exit 1; }
+PLATES_URL="http://$RRSD_ADDR/v1/scene/$PLATES_ID/tile/-128,-128,256x256?seed=1"
+PLATE_PINS=(
+    "format=f32 1711a07e7ef96d7faa3af9d7be2c7369b129c24ecef4c37c913eeaf72dfb592e"
+    "format=f32&precision=f32 8cc71e4a6dbbfcad435c941ba42d3819e5f743853a86e4417f371ab4dafe9cf5"
+    "format=png&precision=f32 3f3d190394333fa26fa4ccf35951dbe500dd0b950cd8bc0ed14c3354323d3996"
+)
+for i in "${!PLATE_PINS[@]}"; do
+    read -r query sum <<<"${PLATE_PINS[$i]}"
+    curl -sf "$PLATES_URL&$query" -o "$SMOKE_DIR/plate$i"
+    if [[ "$(uname -m)" == "x86_64" ]]; then
+        echo "$sum  $SMOKE_DIR/plate$i" | sha256sum -c - >/dev/null \
+            || { echo "plate tile ($query) drifted" >&2; exit 1; }
+    else
+        curl -sf "$PLATES_URL&$query" -o "$SMOKE_DIR/plate$i.b"
+        cmp "$SMOKE_DIR/plate$i" "$SMOKE_DIR/plate$i.b"
+    fi
+done
 # Pyramid route: tile 0/0,0 at -tile-edge 64 covers the same lattice
 # window as the golden fetch above, so it must be served from the shared
 # cache entry (X-Cache: hit) with identical bytes.
@@ -196,6 +225,14 @@ curl -sf "http://$RRSD4_ADDR/v1/scene/$SCENE_ID4/tile/0,0,64x64?seed=1&format=f3
     -o "$SMOKE_DIR/tile-w4.f32"
 cmp "$SMOKE_DIR/tile.f32" "$SMOKE_DIR/tile-w4.f32" \
     || { echo "tile bytes depend on -gen-workers" >&2; exit 1; }
+curl -sf -X POST --data "$PLATES" "http://$RRSD4_ADDR/v1/scene" > /dev/null
+for i in "${!PLATE_PINS[@]}"; do
+    read -r query _ <<<"${PLATE_PINS[$i]}"
+    curl -sf "http://$RRSD4_ADDR/v1/scene/$PLATES_ID/tile/-128,-128,256x256?seed=1&$query" \
+        -o "$SMOKE_DIR/plate$i-w4"
+    cmp "$SMOKE_DIR/plate$i" "$SMOKE_DIR/plate$i-w4" \
+        || { echo "plate tile ($query) bytes depend on -gen-workers" >&2; exit 1; }
+done
 kill -TERM "$RRSD4_PID"
 wait "$RRSD4_PID" || { echo "rrsd (-gen-workers 4) exited non-zero after SIGTERM" >&2; exit 1; }
 kill -TERM "$RRSD_PID"
@@ -282,6 +319,13 @@ for pid in "${CL_PIDS[@]}"; do
     wait "$pid" || { echo "cluster node exited non-zero after SIGTERM" >&2; exit 1; }
 done
 rm -rf "$CL_DIR"
+step_end
+
+# perfbench is its own module (replace roughsurface => ../), so the
+# top-level build and tests never compile it; an API change here would
+# otherwise break the benchmark silently.
+step_begin "perfbench module (build, vet, test)"
+(cd perfbench && go build -o /dev/null ./... && go vet ./... && go test ./...)
 step_end
 
 step_begin "bench smoke (compile + one iteration per benchmark)"
