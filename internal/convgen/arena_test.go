@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"roughsurface/internal/approx"
 	"roughsurface/internal/spectrum"
 )
 
@@ -46,8 +47,9 @@ func TestEnginesAgreeOddWindows(t *testing.T) {
 }
 
 // TestTapsHatLRUBounded churns window sizes so the padded FFT geometry
-// keeps changing, and checks that the kernel-spectrum cache stays at its
-// bound while results remain identical to a cold generator.
+// keeps changing, and checks that the kernel's spectrum cache stays at
+// its bound while results remain identical to a generator over a fresh
+// copy of the kernel (whose caches start empty).
 func TestTapsHatLRUBounded(t *testing.T) {
 	s := spectrum.MustExponential(1, 2, 2)
 	k := MustDesign(s, 1, 1, 6, 1e-4)
@@ -58,7 +60,7 @@ func TestTapsHatLRUBounded(t *testing.T) {
 	sizes := []int{8, 24, 56, 120, 248, 500, 8, 120, 700, 56}
 	for _, n := range sizes {
 		got := g.GenerateAt(3, -4, n, 5)
-		cold := NewGenerator(k, 7)
+		cold := NewGenerator(k.clone(), 7)
 		cold.Engine = EngineFFT
 		want := cold.GenerateAt(3, -4, n, 5)
 		for i := range want.Data {
@@ -66,12 +68,43 @@ func TestTapsHatLRUBounded(t *testing.T) {
 				t.Fatalf("n=%d: churned generator diverged from cold generator", n)
 			}
 		}
-		if got := g.tapsHat.len(); got > tapsCacheSize {
+		if got := k.tapsHat.len(); got > tapsCacheSize {
 			t.Fatalf("n=%d: taps cache grew to %d entries (bound %d)", n, got, tapsCacheSize)
 		}
 	}
-	if g.tapsHat.len() != tapsCacheSize {
-		t.Errorf("cache holds %d entries after churn, want full bound %d", g.tapsHat.len(), tapsCacheSize)
+	if k.tapsHat.len() != tapsCacheSize {
+		t.Errorf("cache holds %d entries after churn, want full bound %d", k.tapsHat.len(), tapsCacheSize)
+	}
+}
+
+// TestTapsHatSharedAcrossSeeds checks that the kernel spectrum is a
+// property of the kernel, not of the generator: a second seed's first
+// FFT window over the same kernel reuses the first seed's cached
+// half-spectrum instead of transforming the kernel again, and still
+// renders exactly what a generator over a fresh kernel copy renders.
+func TestTapsHatSharedAcrossSeeds(t *testing.T) {
+	k := MustDesign(spectrum.MustGaussian(1, 6, 6), 1, 1, 8, 1e-4)
+	g1 := NewGenerator(k, 1)
+	g1.Engine = EngineFFT
+	g1.GenerateAt(0, 0, 64, 64)
+	if k.tapsHat.len() != 1 {
+		t.Fatalf("first FFT window cached %d spectra, want 1", k.tapsHat.len())
+	}
+	hat := &k.tapsHat.entries[0].hat[0]
+
+	g2 := NewGenerator(k, 2)
+	g2.Engine = EngineFFT
+	got := g2.GenerateAt(0, 0, 64, 64)
+	if k.tapsHat.len() != 1 || &k.tapsHat.entries[0].hat[0] != hat {
+		t.Error("second seed recomputed the kernel spectrum instead of sharing it")
+	}
+	cold := NewGenerator(k.clone(), 2)
+	cold.Engine = EngineFFT
+	want := cold.GenerateAt(0, 0, 64, 64)
+	for i := range want.Data {
+		if !approx.Exact(got.Data[i], want.Data[i]) {
+			t.Fatalf("sample %d: shared spectrum rendered %g, fresh kernel %g", i, got.Data[i], want.Data[i])
+		}
 	}
 }
 

@@ -36,9 +36,12 @@ const directCostLimit = 1 << 27
 // generated independently — overlapping windows agree exactly, which is
 // what makes strip-by-strip generation of unbounded surfaces seamless.
 //
-// A Generator is safe for concurrent use: per-call scratch comes from an
-// internal pool, and the kernel-spectrum cache is locked. Returned grids
-// are caller-owned; scratch is never shared with them. In steady state —
+// A Generator is safe for concurrent use: per-call scratch comes from a
+// package-level pool, and everything derived from the kernel (float32
+// taps, FFT half-spectra) is cached on the Kernel, built once and shared
+// by every Generator over it. A Generator is therefore just a kernel
+// pointer and a seed, cheap to create per seed. Returned grids are
+// caller-owned; scratch is never shared with them. In steady state —
 // streaming strips, fixed-size tiles — a Generate call allocates only
 // the returned grid.
 type Generator struct {
@@ -49,27 +52,14 @@ type Generator struct {
 	Workers int
 	// Engine selects the convolution path (default EngineAuto).
 	Engine Engine
-
-	// tapsHat caches the half-spectrum of the zero-padded kernel per
-	// FFT size: streaming and tiled workloads re-enter convolveFFT with
-	// the same geometry, and the kernel never changes. Bounded (small
-	// LRU) so mixed-size tiled workloads cannot grow it without limit.
-	tapsHat tapsCache
-
-	// arenas pools the per-call scratch buffers (noise window, padded
-	// real workspace, half-spectrum). A pool rather than one owned
-	// buffer keeps concurrent GenerateAt calls on a shared Generator
-	// correct while still reaching zero steady-state allocations.
-	arenas sync.Pool
-
-	// taps32 is the kernel narrowed to float32, built once on first use
-	// of the f32 render path (see taps). It lives on the Generator, not
-	// the Kernel: Kernel is a mutable exported value type, while a
-	// Generator's kernel is fixed at construction, which makes the
-	// cache safe.
-	taps32     []float32
-	taps32Once sync.Once
 }
+
+// arenas pools the per-call scratch buffers (noise window, padded real
+// workspace, half-spectrum) across all Generators. A pool rather than
+// owned buffers keeps concurrent calls correct while still reaching
+// zero steady-state allocations, and one pool for the process keeps
+// per-seed Generators from each retaining their own scratch.
+var arenas = sync.Pool{New: func() any { return new(genArena) }}
 
 // genArena is one call's worth of scratch. Buffers grow to the largest
 // geometry seen and are reused across calls.
@@ -99,9 +89,7 @@ func grow[T any](buf []T, n int) []T {
 
 // NewGenerator wraps a kernel and a noise field seed.
 func NewGenerator(k *Kernel, seed uint64) *Generator {
-	g := &Generator{kernel: k, field: rng.NewField(seed)}
-	g.arenas.New = func() any { return &genArena{} }
-	return g
+	return &Generator{kernel: k, field: rng.NewField(seed)}
 }
 
 // Kernel exposes the generator's kernel (shared, not copied).
@@ -141,8 +129,8 @@ func (g *Generator) GenerateAtInto32(dst []float32, stride int, i0, j0 int64, nx
 // untouched. workers bounds this call's parallelism (0 defers to the
 // generator's Workers field, whose 0 in turn means GOMAXPROCS); unlike
 // mutating Workers, passing it here is safe under concurrent calls on
-// one Generator. Scratch comes from the generator's arena pool, so the
-// call itself allocates nothing in steady state.
+// one Generator. Scratch comes from the package arena pool, so the call
+// itself allocates nothing in steady state.
 //
 // At float32 the taps and noise are narrowed once and the multiply-
 // accumulate runs entirely in single precision through the simd MAC
@@ -158,14 +146,14 @@ func GenerateInto[F simd.Float](g *Generator, dst []F, stride int, i0, j0 int64,
 	if workers == 0 {
 		workers = g.Workers
 	}
-	ar := g.arenas.Get().(*genArena)
+	ar := arenas.Get().(*genArena)
 	switch g.EngineFor(nx, ny) {
 	case EngineDirect:
 		convolveDirect(g, dst, stride, nx, ny, ar, i0, j0, workers)
 	case EngineFFT:
 		convolveFFT(g, dst, stride, nx, ny, ar, i0, j0, workers)
 	}
-	g.arenas.Put(ar)
+	arenas.Put(ar)
 }
 
 // checkWindow validates an nx×ny destination window at the given row
@@ -217,16 +205,16 @@ func convolveDirect[F simd.Float](g *Generator, dst []F, stride, nx, ny int, ar 
 
 // taps returns the kernel at precision F: Kernel.Taps itself for
 // float64, and for float32 the narrowed copy built on first use and
-// cached for the generator's lifetime.
-func taps[F simd.Float](g *Generator) []F {
-	if t, ok := any(&g.kernel.Taps).(*[]F); ok {
+// cached on the kernel.
+func taps[F simd.Float](k *Kernel) []F {
+	if t, ok := any(&k.Taps).(*[]F); ok {
 		return *t
 	}
-	g.taps32Once.Do(func() {
-		g.taps32 = make([]float32, len(g.kernel.Taps))
-		simd.Narrow(g.taps32, g.kernel.Taps)
+	k.taps32Once.Do(func() {
+		k.taps32 = make([]float32, len(k.Taps))
+		simd.Narrow(k.taps32, k.Taps)
 	})
-	return *any(&g.taps32).(*[]F)
+	return *any(&k.taps32).(*[]F)
 }
 
 // convolveFFT computes the same linear correlation with padded
@@ -276,7 +264,7 @@ func convolveFFT[F simd.Float](g *Generator, dst []F, stride, nx, ny int, ar *ge
 	})
 
 	plan.ForwardReal(spec, pad)
-	tHat := g.cachedTapsHat(plan, px, py)
+	tHat := k.cachedTapsHat(plan, px, py)
 	par.For(len(spec), workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			t := tHat[i]
@@ -291,19 +279,18 @@ func convolveFFT[F simd.Float](g *Generator, dst []F, stride, nx, ny int, ar *ge
 
 // cachedTapsHat returns the half-spectrum of the kernel zero-padded to
 // px×py, computing and caching it on first use for that size.
-func (g *Generator) cachedTapsHat(plan *fft.Plan2D, px, py int) []complex128 {
+func (k *Kernel) cachedTapsHat(plan *fft.Plan2D, px, py int) []complex128 {
 	key := [2]int{px, py}
-	if hat := g.tapsHat.get(key); hat != nil {
+	if hat := k.tapsHat.get(key); hat != nil {
 		return hat
 	}
-	k := g.kernel
 	pad := make([]float64, px*py)
 	for b := 0; b < k.Ny; b++ {
 		copy(pad[b*px:b*px+k.Nx], k.Taps[b*k.Nx:(b+1)*k.Nx])
 	}
 	hat := make([]complex128, plan.HalfNx()*py)
 	plan.ForwardReal(hat, pad)
-	g.tapsHat.put(key, hat)
+	k.tapsHat.put(key, hat)
 	return hat
 }
 

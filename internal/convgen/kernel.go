@@ -16,6 +16,7 @@ package convgen
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"roughsurface/internal/approx"
 	"roughsurface/internal/fft"
@@ -26,11 +27,31 @@ import (
 // Nx-fast; (CX, CY) is the index of the zero-lag tap. The sum of squared
 // taps approximates h², so filtering unit white noise yields the target
 // height variance.
+//
+// A Kernel is immutable once a Generator has rendered from it: the
+// render engines cache what they derive from Taps (the float32 taps and
+// the FFT half-spectra) on the kernel itself, shared by every Generator
+// over it whatever its seed, and core shares one designed Kernel
+// process-wide among all scenes and levels with the same design inputs.
+// Nothing in the repository writes Taps after design; Truncate, crop
+// and TruncateRect return new kernels.
 type Kernel struct {
 	Nx, Ny int
 	CX, CY int
 	Dx, Dy float64
 	Taps   []float64
+
+	// taps32 is Taps narrowed to float32, built once on the first f32
+	// render (see taps).
+	taps32     []float32
+	taps32Once sync.Once
+
+	// tapsHat caches the half-spectrum of the zero-padded kernel per
+	// FFT size: streaming, tiled and per-seed workloads re-enter
+	// convolveFFT with the same geometry, and the taps never change.
+	// Bounded (small LRU) so mixed-size tiled workloads cannot grow it
+	// without limit.
+	tapsHat tapsCache
 }
 
 // FromSpectrum builds the kernel for spectrum s on an nx×ny design grid
@@ -110,10 +131,22 @@ func DesignExact(s spectrum.Spectrum, dx, dy, spanCL, eps float64) (*Kernel, err
 	return design(s, dx, dy, spanCL, eps, true)
 }
 
-func design(s spectrum.Spectrum, dx, dy, spanCL, eps float64, exact bool) (*Kernel, error) {
+// DesignDefaults resolves Design's defaulted arguments: spanCL <= 0
+// selects 8, and eps <= 0 selects 1e-4 except NoTruncation, which is
+// kept. A cache keyed by design inputs resolves through it, so an
+// omitted and a spelled-out default share one entry.
+func DesignDefaults(spanCL, eps float64) (float64, float64) {
 	if spanCL <= 0 {
 		spanCL = 8
 	}
+	if eps <= 0 && !approx.Exact(eps, NoTruncation) {
+		eps = 1e-4
+	}
+	return spanCL, eps
+}
+
+func design(s spectrum.Spectrum, dx, dy, spanCL, eps float64, exact bool) (*Kernel, error) {
+	spanCL, eps = DesignDefaults(spanCL, eps)
 	clx, cly := s.CorrelationLengths()
 	nx := nextPow2(int(math.Ceil(spanCL * clx / dx)))
 	ny := nextPow2(int(math.Ceil(spanCL * cly / dy)))
@@ -129,9 +162,6 @@ func design(s spectrum.Spectrum, dx, dy, spanCL, eps float64, exact bool) (*Kern
 	}
 	if approx.Exact(eps, NoTruncation) {
 		return k, nil
-	}
-	if eps <= 0 {
-		eps = 1e-4
 	}
 	return k.Truncate(eps), nil
 }
@@ -322,9 +352,8 @@ func (k *Kernel) crop(r int) *Kernel {
 }
 
 func (k *Kernel) clone() *Kernel {
-	c := *k
-	c.Taps = append([]float64(nil), k.Taps...)
-	return &c
+	return &Kernel{Nx: k.Nx, Ny: k.Ny, CX: k.CX, CY: k.CY, Dx: k.Dx, Dy: k.Dy,
+		Taps: append([]float64(nil), k.Taps...)}
 }
 
 // At returns the tap at offset (ax, ay) from the kernel origin corner.

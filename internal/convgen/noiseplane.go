@@ -77,5 +77,5 @@ func ConvolveNoise[F simd.Float](g *Generator, dst []F, stride int, plane []F, p
 	if workers == 0 {
 		workers = g.Workers
 	}
-	convDirect(dst, stride, nx, ny, taps[F](g), k.Nx, k.Ny, plane[int(offY)*pnx+int(offX):], pnx, macRow[F](), workers)
+	convDirect(dst, stride, nx, ny, taps[F](k), k.Nx, k.Ny, plane[int(offY)*pnx+int(offX):], pnx, macRow[F](), workers)
 }

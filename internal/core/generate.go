@@ -60,7 +60,10 @@ func MustGenerate(sc Scene) *Result {
 // across requests.
 type Components struct {
 	// Kernels holds one designed kernel per component (exactly one for
-	// homogeneous scenes).
+	// homogeneous scenes). Kernels are shared process-wide with every
+	// scene, level and component whose design inputs are equal (see
+	// designKey), so a plate scene may hold one kernel twice; they must
+	// never be mutated.
 	Kernels []*convgen.Kernel
 	// Blender is non-nil for plate/point scenes.
 	Blender inhomo.Blender
@@ -100,15 +103,21 @@ func (sc Scene) Components() (*Components, error) {
 	panic("unreachable: Validate accepted unknown method")
 }
 
+// designKernel returns the kernel for spec at the (normalized) scene's
+// spacing and kernel knobs, from the process-wide design cache when any
+// scene already holds a design with the same inputs. The kernel may be
+// shared with other scenes and must not be mutated.
 func (sc Scene) designKernel(spec SpectrumSpec) (*convgen.Kernel, error) {
-	s, err := spec.Build()
-	if err != nil {
-		return nil, err
-	}
-	if sc.ExactVariance {
-		return convgen.DesignExact(s, sc.Dx, sc.Dy, sc.KernelSpanCL, sc.KernelEps)
-	}
-	return convgen.Design(s, sc.Dx, sc.Dy, sc.KernelSpanCL, sc.KernelEps)
+	return kernels.get(sc.designKey(spec), func() (*convgen.Kernel, error) {
+		s, err := spec.Build()
+		if err != nil {
+			return nil, err
+		}
+		if sc.ExactVariance {
+			return convgen.DesignExact(s, sc.Dx, sc.Dy, sc.KernelSpanCL, sc.KernelEps)
+		}
+		return convgen.Design(s, sc.Dx, sc.Dy, sc.KernelSpanCL, sc.KernelEps)
+	})
 }
 
 func generateHomogeneous(sc Scene) (*Result, error) {

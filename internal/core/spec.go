@@ -58,16 +58,20 @@ func (s SpectrumSpec) Build() (spectrum.Spectrum, error) {
 	case "exponential":
 		return spectrum.NewExponential(s.H, clx, cly)
 	case "sea":
-		g := s.G
-		if g == 0 {
-			g = 9.81
-		}
-		return spectrum.NewSea(s.U, g)
+		return spectrum.NewSea(s.U, s.gravity())
 	case "":
 		return nil, fmt.Errorf("core: spectrum family missing")
 	default:
 		return nil, fmt.Errorf("core: unknown spectrum family %q (want gaussian, powerlaw, exponential or sea)", s.Family)
 	}
+}
+
+// gravity resolves the sea family's G default.
+func (s SpectrumSpec) gravity() float64 {
+	if s.G == 0 {
+		return 9.81
+	}
+	return s.G
 }
 
 // key canonicalizes the spec for component deduplication.

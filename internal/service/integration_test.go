@@ -10,6 +10,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -65,6 +66,35 @@ func getTile(t *testing.T, ts *httptest.Server, path string) ([]byte, string) {
 		t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
 	}
 	return body, resp.Header.Get("X-Cache")
+}
+
+// TestKernelDesignsShared registers two scenes that differ only in seed
+// and renders a tile from each: /metrics' rrsd_kernel_designs_total
+// rises by exactly one, because the second scene's components reuse the
+// first scene's kernel design.
+func TestKernelDesignsShared(t *testing.T) {
+	_, ts := testServer(t, Config{Workers: 2, PrefetchQueue: -1})
+	designs := func() int {
+		for _, line := range strings.Split(metricsText(t, ts), "\n") {
+			if v, ok := strings.CutPrefix(line, "rrsd_kernel_designs_total "); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+		}
+		t.Fatal("metrics output missing rrsd_kernel_designs_total")
+		return 0
+	}
+	before := designs()
+	for _, seed := range []int{5, 6} {
+		id := postScene(t, ts, fmt.Sprintf(`{"nx":64,"ny":64,"method":"homogeneous","seed":%d,"spectrum":{"family":"gaussian","h":1,"cl":13}}`, seed))
+		getTile(t, ts, "/v1/scene/"+id+"/tile/0,0,64x64?format=f32")
+	}
+	if got := designs() - before; got != 1 {
+		t.Errorf("two scenes differing only in seed computed %d kernel designs, want 1", got)
+	}
 }
 
 // TestTileDeterminism is the wire-level determinism contract: the same

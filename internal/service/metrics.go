@@ -188,6 +188,7 @@ func (m *metrics) writePrometheus(w io.Writer, gauges []gaugeFn) {
 	counter("rrsd_prefetch_rendered_total", "Neighbor tiles prefetched into the cache.", m.prefetchRendered.Load())
 	counter("rrsd_prefetch_dropped_total", "Prefetch jobs shed at the queue.", m.prefetchDropped.Load())
 	counter("rrsd_prefetch_skipped_total", "Prefetch jobs that yielded to foreground renders.", m.prefetchSkipped.Load())
+	counter("rrsd_kernel_designs_total", "Kernel designs computed by this process; scenes, seeds and levels sharing a design count it once.", core.KernelDesigns())
 
 	m.writePeerOps(w)
 

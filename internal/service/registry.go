@@ -35,8 +35,10 @@ func SceneID(sc core.Scene) (id string, canonical []byte, err error) {
 }
 
 // registry maps scene IDs to their parsed scenes and lazily-built
-// generation machinery. It is append-only up to maxScenes; scenes are
-// small (the kernels dominate, and those are built on first tile).
+// generation machinery. It is append-only up to maxScenes. Kernels
+// dominate a scene's memory; they are designed on first tile and come
+// from core's process-wide design cache, so scenes whose design inputs
+// match (say, differing only in seed) hold one kernel between them.
 type registry struct {
 	mu        sync.RWMutex
 	scenes    map[string]*sceneEntry
@@ -102,14 +104,16 @@ func (r *registry) len() int {
 }
 
 // sceneEntry is one registered scene plus everything derived from it.
-// Kernel design (the expensive, seed-independent step) runs exactly
-// once per pyramid level under a levelComponents Once — sync.Once gives
-// singleflight semantics, so a burst of first requests for a new
-// (scene, level) blocks on a single design instead of designing per
-// request. Levels are designed independently: the kernel taps are a
+// Its components are resolved exactly once per pyramid level under a
+// levelComponents Once — sync.Once gives singleflight semantics, so a
+// burst of first requests for a new (scene, level) blocks on a single
+// resolution instead of one per request. Resolution takes each kernel
+// from core's process-wide design cache, designing only inputs no live
+// scene holds. Levels are resolved independently: the kernel taps are a
 // function of the level's grid spacing, and a scene serving only level
-// 0 never pays for coarser kernels. Generators (cheap, seed-dependent)
-// are cached per (level, seed) behind a small LRU.
+// 0 never pays for coarser kernels. Generators (cheap, seed-dependent
+// wrappers over the shared kernels) are cached per (level, seed) behind
+// a small LRU.
 type sceneEntry struct {
 	ID         string
 	Scene      core.Scene
@@ -127,8 +131,8 @@ type sceneEntry struct {
 
 // levelComponents is the design singleflight slot for one pyramid
 // level: kernels and weight maps re-derived at spacing Dx·2^level.
-// The tapsHat spectrum LRU lives inside each level's convgen
-// generators, so level keying here also keys that cache by level.
+// Each kernel carries its own tapsHat spectrum LRU, shared by every
+// seed's generator over it in this and any other scene.
 type levelComponents struct {
 	once sync.Once
 	err  error

@@ -15,8 +15,9 @@
 //	GET  /healthz                         liveness
 //	GET  /metrics                         Prometheus text metrics
 //
-// Layering (DESIGN.md §11, §14): scene registry (kernel design, once
-// per scene and pyramid level) → per-(level, seed) generator cache →
+// Layering (DESIGN.md §11, §14): scene registry (components once per
+// scene and pyramid level, kernels from core's process-wide design
+// cache) → per-(level, seed) generator cache →
 // byte-bounded two-tier tile LRU (coarse levels pinned) → bounded
 // worker pool with queue-depth admission control, plus a subordinate
 // best-effort neighbor prefetcher.

@@ -108,7 +108,7 @@ if [[ "$RACE_ALL" == "1" ]]; then
 else
     step_begin "go test -race (concurrency-sensitive packages)"
     go test -race ./internal/par ./internal/fft ./internal/convgen \
-        ./internal/inhomo ./internal/rng ./internal/grid \
+        ./internal/core ./internal/inhomo ./internal/rng ./internal/grid \
         ./internal/service ./internal/cluster ./cmd/rrsd ./cmd/rrsload
 fi
 step_end
@@ -125,9 +125,11 @@ step_end
 # scene pins the inhomogeneous engine's bytes the same way. A second
 # daemon with -gen-workers 4 must reproduce the golden and plate tiles
 # exactly (the determinism contract detflow/floatreduce enforce
-# statically).
+# statically). Two cl=40 scenes differing only in seed must compute one
+# kernel design between them, and the second scene's tile must match
+# the -gen-workers 4 daemon's, where it designs its own kernel.
 # Finally SIGTERM must drain and exit 0 within the deadline.
-step_begin "rrsd smoke (healthz, golden tiles, plate pins, pyramid route, worker determinism, graceful shutdown)"
+step_begin "rrsd smoke (healthz, golden tiles, plate pins, pyramid route, design sharing, worker determinism, graceful shutdown)"
 GOLDEN_TILE_SHA256="c489266437db4399309159e8e96ed6998423d7d28d5740b2ce569abeb6c36688"
 GOLDEN_TILE32_SHA256="c38014bea2a177adebb1b8092a5f817da295d245199b9cb73fa9da4d7ed8669a"
 SMOKE_DIR="$(mktemp -d)"
@@ -207,6 +209,25 @@ curl -sf "http://$RRSD_ADDR/v1/scene/$SCENE_ID/tile/2/0,0?seed=1&format=f32" \
 METRICS="$(curl -sf "http://$RRSD_ADDR/metrics")"
 grep -q 'rrsd_tile_level_hits_total{level="0"}' <<<"$METRICS"
 grep -q 'rrsd_tile_level_misses_total{level="2"} 1' <<<"$METRICS"
+# Kernel designs are shared process-wide by their resolved inputs: two
+# cl=40 scenes that differ only in seed (scene-churn's shape) design one
+# kernel between them, so rrsd_kernel_designs_total rises by exactly 1.
+churn_doc() {
+    echo "{\"nx\":64,\"ny\":64,\"method\":\"homogeneous\",\"seed\":$1,\"spectrum\":{\"family\":\"gaussian\",\"h\":1,\"cl\":40}}"
+}
+kernel_designs() {
+    curl -sf "http://$1/metrics" | sed -n 's/^rrsd_kernel_designs_total //p'
+}
+CHURN_TILE="tile/0,0,256x256?format=f32&precision=f32"
+DESIGNS_BEFORE="$(kernel_designs "$RRSD_ADDR")"
+for seed in 2 3; do
+    CHURN_ID="$(curl -sf -X POST --data "$(churn_doc "$seed")" "http://$RRSD_ADDR/v1/scene" \
+        | sed -E 's/.*"id":"([0-9a-f]+)".*/\1/')"
+    curl -sf "http://$RRSD_ADDR/v1/scene/$CHURN_ID/$CHURN_TILE" -o "$SMOKE_DIR/churn-$seed.f32"
+done
+DESIGNS_AFTER="$(kernel_designs "$RRSD_ADDR")"
+[[ "$((DESIGNS_AFTER - DESIGNS_BEFORE))" == "1" ]] \
+    || { echo "two seed-only scenes computed $((DESIGNS_AFTER - DESIGNS_BEFORE)) kernel designs, want 1" >&2; exit 1; }
 # Determinism across worker counts: the detflow/floatreduce contract,
 # checked dynamically. A second daemon with -gen-workers 4 must produce
 # the golden tile byte-for-byte identical to the single-worker render.
@@ -233,6 +254,14 @@ for i in "${!PLATE_PINS[@]}"; do
     cmp "$SMOKE_DIR/plate$i" "$SMOKE_DIR/plate$i-w4" \
         || { echo "plate tile ($query) bytes depend on -gen-workers" >&2; exit 1; }
 done
+# The seed-3 churn scene designs its own kernel here (it registers
+# first), while the first daemon served it from the seed-2 scene's
+# design: sharing a design changes no byte.
+CHURN_ID4="$(curl -sf -X POST --data "$(churn_doc 3)" "http://$RRSD4_ADDR/v1/scene" \
+    | sed -E 's/.*"id":"([0-9a-f]+)".*/\1/')"
+curl -sf "http://$RRSD4_ADDR/v1/scene/$CHURN_ID4/$CHURN_TILE" -o "$SMOKE_DIR/churn-3-w4.f32"
+cmp "$SMOKE_DIR/churn-3.f32" "$SMOKE_DIR/churn-3-w4.f32" \
+    || { echo "churn tile bytes depend on whether its kernel design was shared" >&2; exit 1; }
 kill -TERM "$RRSD4_PID"
 wait "$RRSD4_PID" || { echo "rrsd (-gen-workers 4) exited non-zero after SIGTERM" >&2; exit 1; }
 kill -TERM "$RRSD_PID"
